@@ -4,7 +4,7 @@ PYTHON ?= python
 # Worker processes for parallel-capable benchmarks: make bench WORKERS=4
 WORKERS ?= 1
 
-.PHONY: install test test-async test-faults test-multipath test-parallel test-shard test-soak test-store test-vector test-verify check docs-check bench bench-record examples quick-bench all clean
+.PHONY: install test test-async test-faults test-multipath test-parallel test-shard test-soak test-store test-vector test-verify check docs-check perf-smoke bench bench-record examples quick-bench all clean
 
 install:
 	pip install -e .
@@ -73,6 +73,14 @@ test-verify:
 # verification run with a line-coverage floor on the verify plane itself.
 check:
 	PYTHONPATH=src $(PYTHON) scripts/ci_check.py
+
+# The repo benchmark (BENCHMARK.json, perf/README.md) at smoke scale:
+# the harness self-tests, then one second of every workload -- exits
+# non-zero when any workload's correctness checks fail.  `make check`
+# runs the same two commands.
+perf-smoke:
+	$(PYTHON) -m pytest perf/tests -q
+	$(PYTHON) perf/run.py --smoke --seed 1 --out perf/out/smoke
 
 bench:
 	REPRO_BENCH_WORKERS=$(WORKERS) $(PYTHON) -m pytest benchmarks/ --benchmark-only

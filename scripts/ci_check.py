@@ -32,7 +32,12 @@ Runs, in order, failing fast:
    recover with fingerprint equivalence — under seed-derived chaos, with
    the resource-trend watchdogs armed.  The hours-long run is
    ``repro soak --budget full``; this leg proves the harness itself and
-   catches gross leaks in under a minute.
+   catches gross leaks in under a minute;
+8. the repo benchmark at smoke scale (``make perf-smoke``): the
+   ``perf/`` harness self-tests, then one second of every
+   ``BENCHMARK.json`` workload -- the build fails when any workload's
+   correctness checks fail (speed is judged by the benchmark driver,
+   never here).
 
 The coverage leg uses :mod:`trace` (stdlib) rather than ``coverage.py``
 deliberately: the reproduction environment is offline and must not grow
@@ -419,6 +424,19 @@ def _soak_smoke() -> bool:
     return True
 
 
+def _perf_smoke(env: dict[str, str]) -> bool:
+    """The repo benchmark's correctness checks (``make perf-smoke``)."""
+    steps = (
+        ("perf self-tests", [sys.executable, "-m", "pytest", "perf/tests", "-q"]),
+        (
+            "perf smoke",
+            [sys.executable, "perf/run.py", "--smoke", "--seed", "1",
+             "--out", "perf/out/smoke"],
+        ),
+    )
+    return all(_run(step, argv, env) for step, argv in steps)
+
+
 def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
@@ -445,9 +463,11 @@ def main() -> int:
         return 1
     if not _soak_smoke():
         return 1
+    if not _perf_smoke(env):
+        return 1
     print(
         "ci-check: OK (docs, tier-1, verify + coverage floor, bench gate, "
-        "shard smoke, registry lint, soak smoke)"
+        "shard smoke, registry lint, soak smoke, perf smoke)"
     )
     return 0
 

@@ -203,40 +203,6 @@ class CallHistory:
             bucket[(pair_key, option)] = stat
         stat.push_many(values)
 
-    def add_many(
-        self,
-        pair_keys: list[PairKey],
-        options: list[RelayOption],
-        t_hours: np.ndarray,
-        values: np.ndarray,
-    ) -> None:
-        """Record many completed calls, bit-identical to repeated :meth:`add`.
-
-        Parallel sequences: ``pair_keys[i]``, ``options[i]``, ``t_hours[i]``
-        and ``values[i]`` (a (rtt, loss, jitter) row) describe call ``i``.
-        Rows are grouped by (pair, option, window) and folded per group in
-        call order; groups are visited in first-seen order so bucket dict
-        insertion order -- which downstream iteration (tomography fits,
-        population priors, serialisation) observes -- matches the scalar
-        loop exactly.
-        """
-        n = len(values)
-        if not (len(pair_keys) == len(options) == len(t_hours) == n):
-            raise ValueError("add_many expects equal-length call sequences")
-        if n == 0:
-            return
-        t_hours = np.asarray(t_hours, dtype=np.float64)
-        if np.any(t_hours < 0.0):
-            bad = float(t_hours[t_hours < 0.0][0])
-            raise ValueError(f"t_hours must be >= 0: {bad}")
-        windows = np.floor_divide(t_hours, self.window_hours).astype(np.int64)
-        groups: dict[tuple, list[int]] = {}
-        for i, (pair_key, option) in enumerate(zip(pair_keys, options)):
-            groups.setdefault((pair_key, option, int(windows[i])), []).append(i)
-        values = np.asarray(values, dtype=np.float64)
-        for (pair_key, option, window), rows in groups.items():
-            self.add_group(pair_key, option, window, values[rows])
-
     def stats(
         self, pair_key: PairKey, option: RelayOption, window: int
     ) -> RunningStat | None:

@@ -30,7 +30,7 @@ from repro.netmodel.metrics import METRICS
 from repro.netmodel.options import DIRECT, RelayOption
 from repro.core.coordinates import CoordinateSystem
 
-__all__ = ["Prediction", "PredictionTable", "Predictor"]
+__all__ = ["Prediction", "Predictor"]
 
 _Z95 = 1.96
 
@@ -59,64 +59,6 @@ class Prediction:
 
     def value(self, metric_idx: int) -> float:
         return float(self.mean[metric_idx])
-
-
-@dataclass(frozen=True, slots=True)
-class PredictionTable:
-    """Columnar view of one pair's predictions (the vector-path layout).
-
-    Rows are the *predictable* options in dict order, matching
-    :meth:`Predictor.predict_all`; ``mean``/``sem`` are ``(k, 3)``
-    matrices, ``n`` the per-row direct-sample counts.  ``row`` round-trips
-    to the scalar :class:`Prediction` bit for bit (property-tested in
-    ``tests/test_vector.py``), so consumers can move between layouts
-    without numeric drift.
-    """
-
-    options: tuple[RelayOption, ...]
-    mean: np.ndarray
-    sem: np.ndarray
-    n: np.ndarray
-    sources: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.options)
-
-    def lower(self) -> np.ndarray:
-        """``Pred_lower`` for every row: mean - 1.96 SEM, as a (k, 3) matrix."""
-        return self.mean - _Z95 * self.sem
-
-    def upper(self) -> np.ndarray:
-        """``Pred_upper`` for every row: mean + 1.96 SEM, as a (k, 3) matrix."""
-        return self.mean + _Z95 * self.sem
-
-    def row(self, i: int) -> Prediction:
-        """Row ``i`` as a scalar :class:`Prediction` (same arrays, zero copy)."""
-        return Prediction(
-            mean=self.mean[i], sem=self.sem[i], n=int(self.n[i]), source=self.sources[i]
-        )
-
-    def as_dict(self) -> dict[RelayOption, Prediction]:
-        """The scalar-path ``{option: Prediction}`` form of this table."""
-        return {option: self.row(i) for i, option in enumerate(self.options)}
-
-    @classmethod
-    def from_predictions(
-        cls, predictions: dict[RelayOption, Prediction]
-    ) -> "PredictionTable":
-        options = tuple(predictions)
-        k = len(options)
-        mean = np.empty((k, len(METRICS)))
-        sem = np.empty((k, len(METRICS)))
-        n = np.empty(k, dtype=np.int64)
-        sources = []
-        for i, option in enumerate(options):
-            p = predictions[option]
-            mean[i] = p.mean
-            sem[i] = p.sem
-            n[i] = p.n
-            sources.append(p.source)
-        return cls(options=options, mean=mean, sem=sem, n=n, sources=tuple(sources))
 
 
 def metric_index(metric: str) -> int:
@@ -262,15 +204,3 @@ class Predictor:
             if prediction is not None:
                 result[option] = prediction
         return result
-
-    def predict_table(
-        self,
-        pair_key: tuple[Hashable, Hashable],
-        options: list[RelayOption],
-    ) -> PredictionTable:
-        """Columnar :class:`PredictionTable` over the predictable options.
-
-        Same rows as :meth:`predict_all` (and the same per-option cache),
-        laid out as matrices for vectorised consumers.
-        """
-        return PredictionTable.from_predictions(self.predict_all(pair_key, options))

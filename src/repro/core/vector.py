@@ -14,8 +14,8 @@ while staying **bit-identical** to the scalar path:
   blocks while consuming the underlying PCG64 bitstream in **exactly** the
   order the scalar loop would (coin, coin, ..., exploration pick, coin,
   ...), by rewinding the generator state past each overshoot.
-* :class:`VectorizedViaPolicy` -- a ``ViaPolicy`` whose scalar
-  ``assign``/``observe`` route through batches of one, so the PR 5
+* :class:`~repro.core.policy.VectorizedViaPolicy` -- a ``ViaPolicy``
+  whose scalar ``assign``/``observe`` route through batches of one, so the PR 5
   differential harness (:func:`repro.verify.differential.run_differential`)
   can prove the vector implementation against the scalar oracle call for
   call.
@@ -41,7 +41,6 @@ __all__ = [
     "CallBatch",
     "MetricsBatch",
     "epsilon_explorations",
-    "VectorizedViaPolicy",
 ]
 
 
@@ -185,13 +184,3 @@ def epsilon_explorations(
         picks.append((i + k, int(rng.integers(lens[i + k]))))
         i += k + 1
     return picks
-
-
-def __getattr__(name: str):
-    # VectorizedViaPolicy subclasses ViaPolicy, which itself imports this
-    # module -- resolve lazily to keep the import graph acyclic.
-    if name == "VectorizedViaPolicy":
-        from repro.core.policy import VectorizedViaPolicy
-
-        return VectorizedViaPolicy
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,7 +23,8 @@ Protocol versions coexist per connection:
 * **v2** connections pipeline: admitted requests enter the shared queue
   and complete *out of order*; replies carry the request's ``corr_id``.
 
-Hostile input never reaches an unhandled exception: malformed lines are
+Hostile input never reaches an unhandled exception: malformed lines, and
+decodable requests whose ``options`` is not a list of option objects, are
 answered with a per-request :class:`~repro.deployment.protocol.ErrorMessage`
 (v2) or dropped (v1); an oversized line is rejected after the stream has
 been resynchronised (v2 keeps the connection, v1 closes cleanly); a
@@ -43,7 +44,6 @@ from repro.deployment.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_V1,
     LATEST_PROTOCOL,
-    AssignMessage,
     ByeMessage,
     ErrorMessage,
     HelloAckMessage,
@@ -58,6 +58,7 @@ from repro.deployment.protocol import (
     ShedMessage,
     StatsRequestMessage,
     SyncRequestMessage,
+    check_options,
     decode_message,
     encode_message,
     read_wire_line,
@@ -109,21 +110,15 @@ class ViaServer:
         port: int,
         n_workers: int = 4,
         idle_timeout_s: float | None = None,
-        request_batch_max: int = 16,
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1: {n_workers}")
-        if request_batch_max < 1:
-            raise ValueError(f"request_batch_max must be >= 1: {request_batch_max}")
         self.controller = controller
         self.admission = admission
         self.host = host
         self._requested_port = port
         self.n_workers = n_workers
         self.idle_timeout_s = idle_timeout_s
-        #: Upper bound on how many queued requests one worker drains into
-        #: a single ``assign_many`` pass; 1 disables batching.
-        self.request_batch_max = request_batch_max
         self._server: asyncio.Server | None = None
         self._queue: asyncio.Queue[_QueuedRequest] | None = None
         self._workers: list[asyncio.Task] = []
@@ -256,14 +251,23 @@ class ViaServer:
                 break
             if not line:
                 break
+            corr_id = None
             try:
                 message = decode_message(line)
+                if isinstance(message, RequestMessage):
+                    # Decodable but possibly hostile: gate the nested field
+                    # before the ladder, the WAL or the policy can see it.
+                    corr_id = message.corr_id
+                    check_options(message.options)
             except ProtocolError as exc:
                 controller._obs_protocol_errors.inc()
                 logger.warning("dropping bad message from %s: %s", conn.peer, exc)
                 if conn.v2:
                     await self._send(
-                        conn, ErrorMessage(code="malformed", detail=str(exc)[:200])
+                        conn,
+                        ErrorMessage(
+                            code="malformed", detail=str(exc)[:200], corr_id=corr_id
+                        ),
                     )
                 continue
             controller._count_message(message.type)
@@ -375,33 +379,14 @@ class ViaServer:
         await self._send_shed(conn, message, decision.reason)
 
     async def _worker(self) -> None:
-        """One policy worker: drains the shared queue until cancelled.
-
-        When the queue has depth, a worker opportunistically drains up to
-        ``request_batch_max`` requests and serves them through the
-        controller's vectorised :meth:`~repro.deployment.controller.\
-ViaController._on_request_many` -- the deeper the backlog, the more the
-        per-call hot path amortises (exactly when it matters).  Fault
-        plans inject per-request chaos, so batching is skipped while one
-        is configured.
-        """
+        """One policy worker: serves the shared queue until cancelled."""
         assert self._queue is not None
         queue = self._queue
         while True:
             item = await queue.get()
-            items = [item]
-            if self.request_batch_max > 1 and self.controller.faults is None:
-                while len(items) < self.request_batch_max:
-                    try:
-                        items.append(queue.get_nowait())
-                    except asyncio.QueueEmpty:
-                        break
             try:
                 self.admission.note_queue_depth(queue.qsize())
-                if len(items) == 1:
-                    await self._serve_request(items[0])
-                else:
-                    await self._serve_batch(items)
+                await self._serve_request(item)
             except (ConnectionError, OSError):
                 pass  # peer vanished mid-reply; its reader loop cleans up
             except asyncio.CancelledError:
@@ -409,8 +394,7 @@ ViaController._on_request_many` -- the deeper the backlog, the more the
             except Exception:  # pragma: no cover - isolation backstop
                 logger.exception("request worker failed")
             finally:
-                for _ in items:
-                    queue.task_done()
+                queue.task_done()
 
     async def _serve_request(self, item: _QueuedRequest) -> None:
         controller = self.controller
@@ -442,81 +426,6 @@ ViaController._on_request_many` -- the deeper the backlog, the more the
         if reply is None:
             return
         await self._send_reply(conn, reply, message.corr_id)
-
-    async def _serve_batch(self, items: list[_QueuedRequest]) -> None:
-        """Serve a drained batch through one ``assign_many`` pass.
-
-        Deadline-expired items are shed exactly as :meth:`_serve_request`
-        would shed them; the rest are assigned in arrival order by a
-        single vectorised call (equivalent to serving them one by one --
-        no observes interleave within a batch).  Per-request service time
-        is recorded as the batch's amortised share.  If the batched pass
-        fails, every item retries through the scalar handler so one
-        poisoned request cannot take down its batch-mates; one dead
-        peer's send failure is likewise isolated from the others.
-        """
-        controller = self.controller
-        loop = asyncio.get_event_loop()
-        now = loop.time()
-        fresh: list[_QueuedRequest] = []
-        for item in items:
-            self.admission.observe_queue_wait(now - item.enqueued_at)
-            if now > item.deadline:
-                self.admission.count_shed("deadline")
-                await self._safe_send_shed(item.conn, item.message, "deadline")
-            else:
-                fresh.append(item)
-        if not fresh:
-            return
-        t0 = perf_counter()
-        replies: list[AssignMessage] | None
-        try:
-            replies = controller._on_request_many([it.message for it in fresh])
-        except Exception:
-            controller._obs_policy_errors.inc()
-            logger.exception(
-                "batched policy.assign_many failed; retrying %d requests serially",
-                len(fresh),
-            )
-            replies = None
-        if replies is None:
-            # Scalar fallback; the batch handler already WAL-logged the
-            # requests (log-before-act), so don't log them twice.
-            for it in fresh:
-                t1 = perf_counter()
-                try:
-                    reply = controller._on_request(it.message, log=False)
-                except Exception:
-                    controller._obs_policy_errors.inc()
-                    logger.exception("policy.assign failed for %s", it.conn.peer)
-                    reply = controller._default_reply(it.message)
-                service_s = perf_counter() - t1
-                self.admission.observe_service(service_s)
-                controller._msg_seconds.labels(type="request").observe(service_s)
-                if reply is not None:
-                    await self._safe_send_reply(it.conn, reply, it.message.corr_id)
-            return
-        service_s = (perf_counter() - t0) / len(fresh)
-        for it, reply in zip(fresh, replies):
-            self.admission.observe_service(service_s)
-            controller._msg_seconds.labels(type="request").observe(service_s)
-            await self._safe_send_reply(it.conn, reply, it.message.corr_id)
-
-    async def _safe_send_reply(
-        self, conn: _Connection, reply: Any, corr_id: int | None
-    ) -> None:
-        try:
-            await self._send_reply(conn, reply, corr_id)
-        except (ConnectionError, OSError):
-            pass  # this peer vanished; keep serving its batch-mates
-
-    async def _safe_send_shed(
-        self, conn: _Connection, message: RequestMessage, reason: str
-    ) -> None:
-        try:
-            await self._send_shed(conn, message, reason)
-        except (ConnectionError, OSError):
-            pass
 
     # ------------------------------------------------------------------
     # Replies

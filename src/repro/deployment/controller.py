@@ -48,9 +48,11 @@ from repro.deployment.protocol import (
     AssignMessage,
     MeasurementMessage,
     MetricsMessage,
+    ProtocolError,
     RequestMessage,
     ResilienceMessage,
     StatsMessage,
+    check_options,
     decode_option,
     encode_option,
 )
@@ -82,10 +84,7 @@ class ViaController:
     :meth:`start` restore a previous checkpoint when one exists (write one
     with :meth:`save_snapshot`).  ``admission`` tunes the overload ladder
     (the default config admits everything); ``n_workers`` sizes the
-    policy worker pool serving pipelined v2 requests;
-    ``request_batch_max`` caps how many backlogged requests one worker
-    drains into a single vectorised ``assign_many`` pass (1 disables
-    batching; see ``docs/performance.md``); ``idle_timeout_s``
+    policy worker pool serving pipelined v2 requests; ``idle_timeout_s``
     disconnects slow-loris/idle peers (None disables).
 
     Every controller owns a private :class:`MetricsRegistry` (pass one in
@@ -124,7 +123,6 @@ class ViaController:
         admission: AdmissionConfig | None = None,
         n_workers: int = 4,
         idle_timeout_s: float | None = None,
-        request_batch_max: int = 16,
         policy_cls: type[ViaPolicy] = ViaPolicy,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -135,7 +133,6 @@ class ViaController:
         self._requested_port = port
         self._n_workers = n_workers
         self._idle_timeout_s = idle_timeout_s
-        self._request_batch_max = request_batch_max
         self.client_sites: dict[int, str] = {}
         self.site_labels: dict[int, str] = {}
         self._call_counter = 0
@@ -263,7 +260,6 @@ class ViaController:
             port=self._requested_port,
             n_workers=self._n_workers,
             idle_timeout_s=self._idle_timeout_s,
-            request_batch_max=self._request_batch_max,
         )
         await frontend.start()
         self._frontend = frontend
@@ -477,42 +473,6 @@ class ViaController:
         self._assign_cache[(message.src_id, message.dst_id)] = encoded
         return AssignMessage(option=encoded)
 
-    def _on_request_many(
-        self, messages: list[RequestMessage], *, log: bool = True
-    ) -> list[AssignMessage]:
-        """Batched :meth:`_on_request`: one vectorised policy pass.
-
-        Handling is equivalent to serving the requests one by one in
-        arrival order -- WAL records, call ids, assignment-cache writes
-        and the policy's RNG draws all happen in the same sequence
-        (``assign_many`` equals sequential ``assign`` calls when no
-        observes interleave, which is exactly the request path) -- but
-        the selection itself runs through
-        :meth:`~repro.core.policy.ViaPolicy.assign_many`, amortising the
-        per-call hot path across the whole drained queue
-        (``docs/performance.md``).
-        """
-        if log and self.store is not None:
-            # Log-before-act, in arrival order, exactly as the scalar
-            # handler would have.
-            for message in messages:
-                self.store.log_request(
-                    message.src_id, message.dst_id, message.t_hours, message.options
-                )
-        calls = [
-            self._call_from(m.src_id, m.dst_id, m.t_hours) for m in messages
-        ]
-        options_per_call = [
-            [decode_option(o) for o in m.options] for m in messages
-        ]
-        choices = self.policy.assign_many(calls, options_per_call)
-        replies: list[AssignMessage] = []
-        for message, choice in zip(messages, choices):
-            encoded = encode_option(choice)
-            self._assign_cache[(message.src_id, message.dst_id)] = encoded
-            replies.append(AssignMessage(option=encoded))
-        return replies
-
     def cached_assignment(self, message: RequestMessage) -> AssignMessage | None:
         """The degrade rung: the pair's last assignment, if it is still
         among the offered options.  Touches no policy state and consumes
@@ -579,8 +539,12 @@ class ViaController:
     def _default_reply(message: RequestMessage) -> AssignMessage | None:
         """Best-effort reply when the policy blew up or the request was
         shed for a v1 peer: the default path if offered, else the first
-        candidate; None when nothing was offered (the client's own
+        candidate; None when nothing usable was offered (the client's own
         timeout/fallback machinery takes over)."""
+        try:
+            check_options(message.options)
+        except ProtocolError:
+            return None
         if not message.options:
             return None
         for option_data in message.options:

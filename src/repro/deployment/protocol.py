@@ -60,6 +60,7 @@ __all__ = [
     "decode_message",
     "encode_option",
     "decode_option",
+    "check_options",
     "read_wire_line",
     "ProtocolError",
     "OversizedLineError",
@@ -101,6 +102,25 @@ def decode_option(data: dict[str, Any]) -> RelayOption:
         return RelayOption(kind=kind, ingress=data.get("ingress"), egress=data.get("egress"))
     except (KeyError, ValueError, TypeError) as exc:
         raise ProtocolError(f"bad option payload: {data!r}") from exc
+
+
+_OPTION_KINDS = tuple(kind.value for kind in OptionKind)
+
+
+def check_options(options: Any) -> None:
+    """Reject a request's ``options`` unless it is a list of option
+    objects of known kind.
+
+    ``decode_message`` checks field *names*, not field shapes, so this is
+    the server's gate for the one nested field it later indexes into: run
+    before a request touches the admission ladder, the WAL or the policy.
+    """
+    if not isinstance(options, list):
+        raise ProtocolError(f"options must be a list: {options!r:.80}")
+    for data in options:
+        # == against a tuple, not a set probe: a hostile kind may be unhashable.
+        if not isinstance(data, dict) or data.get("kind") not in _OPTION_KINDS:
+            raise ProtocolError(f"bad option payload: {data!r:.80}")
 
 
 @dataclass(frozen=True, slots=True)

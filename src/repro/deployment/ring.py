@@ -297,30 +297,6 @@ class ShardController(ViaController):
             return redirect
         return super()._on_request(message, log=log)
 
-    def _on_request_many(
-        self, messages: list[RequestMessage], *, log: bool = True
-    ) -> list[AssignMessage | RedirectMessage]:
-        """Batched serving with redirects split out.
-
-        Owned requests keep their relative arrival order through the
-        base class's batch handler (same WAL sequence, call ids and RNG
-        draws as serving them one by one); wrong-shard requests are
-        answered with redirects in place."""
-        replies: list[AssignMessage | RedirectMessage | None] = [None] * len(messages)
-        owned_rows: list[int] = []
-        owned: list[RequestMessage] = []
-        for i, message in enumerate(messages):
-            redirect = self._maybe_redirect(message)
-            if redirect is not None:
-                replies[i] = redirect
-            else:
-                owned_rows.append(i)
-                owned.append(message)
-        if owned:
-            for i, reply in zip(owned_rows, super()._on_request_many(owned, log=log)):
-                replies[i] = reply
-        return replies  # type: ignore[return-value]
-
     # ------------------------------------------------------------------
     # The local-observation mirror
     # ------------------------------------------------------------------

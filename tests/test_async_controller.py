@@ -3,8 +3,9 @@
 Covers the overload-resilience contract end to end over real localhost
 TCP: correlation-id pipelining with out-of-order completion, v1
 back-compat conformance (the PR 1 dialect against the v2 server),
-hardened line framing (oversized and malformed input, slow-loris
-peers, mid-request disconnects), the admission ladder
+hardened line framing (oversized and malformed input, decodable
+requests with hostile ``options``, slow-loris peers, mid-request
+disconnects), the admission ladder
 (admit -> degrade-to-cache -> explicit shed, deadline sheds), and the
 differential check that v2-served assignments match v1 for the same
 seed.
@@ -27,6 +28,7 @@ from repro.deployment import (
     ViaController,
 )
 from repro.deployment import TestbedClient as AgentClient
+from repro.deployment.protocol import RequestMessage
 from repro.netmodel.metrics import PathMetrics
 from repro.netmodel.options import RelayOption
 
@@ -59,6 +61,11 @@ async def read_json(reader: asyncio.StreamReader) -> dict:
     line = await asyncio.wait_for(reader.readline(), timeout=5.0)
     assert line, "server closed the connection unexpectedly"
     return json.loads(line)
+
+
+#: ``options`` payloads that survive ``decode_message`` (it checks field
+#: names, not shapes) but are not a list of option objects of known kind.
+HOSTILE_OPTIONS = [[1], 7, "direct", [{"kind": "wormhole"}]]
 
 
 def request_payload(corr_id: int | None, t_hours: float = 0.1) -> dict:
@@ -248,6 +255,102 @@ class TestHostileClients:
                 writer.close()
 
         run(scenario())
+
+    @pytest.mark.parametrize("protocol", [1, 2])
+    @pytest.mark.parametrize("options", HOSTILE_OPTIONS, ids=repr)
+    def test_hostile_options_are_rejected_as_malformed(
+        self, options, protocol, caplog
+    ):
+        """A decodable request whose ``options`` is not a list of option
+        objects is a protocol error with a defined answer -- a correlated
+        ``malformed`` error on v2, a drop on v1 -- never a policy error,
+        a dead worker or a torn-down connection."""
+
+        async def scenario():
+            async with ViaController() as controller:
+                reader, writer = await raw_connect(controller.port)
+                hello = {"type": "hello", "client_id": 0, "site": "US"}
+                if protocol == 2:
+                    hello["protocol"] = 2
+                writer.write(wire(hello))
+                poison = request_payload(41 if protocol == 2 else None)
+                poison["options"] = options
+                writer.write(wire(poison))
+                # The same connection must still serve the next request;
+                # on v1 (in-order replies, no error vocabulary) its assign
+                # being the *first* reply proves the poison was dropped.
+                writer.write(wire(request_payload(42 if protocol == 2 else None)))
+                await writer.drain()
+                if protocol == 2:
+                    assert (await read_json(reader))["type"] == "hello_ack"
+                    error = await read_json(reader)
+                    assert (error["type"], error["code"]) == ("error", "malformed")
+                    assert error["corr_id"] == 41
+                reply = await read_json(reader)
+                assert reply["type"] == "assign"
+                assert reply.get("corr_id") == (42 if protocol == 2 else None)
+                assert controller._obs_protocol_errors.value == 1
+                assert controller.n_policy_errors == 0
+                writer.close()
+
+        with caplog.at_level("ERROR"):
+            run(scenario())
+        assert not [r for r in caplog.records if r.levelname == "ERROR"], caplog.text
+
+    def test_poison_request_does_not_disturb_pipelined_neighbours(self):
+        async def scenario():
+            async with ViaController(ViaConfig(seed=3)) as controller:
+                reader, writer = await raw_connect(controller.port)
+                writer.write(
+                    wire({"type": "hello", "client_id": 0, "site": "US", "protocol": 2})
+                )
+                for corr_id in range(1, 9):
+                    payload = request_payload(corr_id, t_hours=0.1 + corr_id * 0.01)
+                    if corr_id == 4:
+                        payload["options"] = [1]
+                    writer.write(wire(payload))
+                await writer.drain()
+                assert (await read_json(reader))["type"] == "hello_ack"
+                replies = [await read_json(reader) for _ in range(8)]
+                by_id = {r["corr_id"]: r for r in replies}
+                assert sorted(by_id) == list(range(1, 9))
+                assert (by_id[4]["type"], by_id[4]["code"]) == ("error", "malformed")
+                assert all(
+                    by_id[i]["type"] == "assign" for i in range(1, 9) if i != 4
+                )
+                assert controller.n_policy_errors == 0
+                writer.close()
+
+        run(scenario())
+
+    def test_poison_request_is_not_wal_logged(self, tmp_path):
+        async def scenario():
+            async with ViaController(store=tmp_path / "store") as controller:
+                reader, writer = await raw_connect(controller.port)
+                writer.write(
+                    wire({"type": "hello", "client_id": 0, "site": "US", "protocol": 2})
+                )
+                writer.write(wire(request_payload(1)))
+                await writer.drain()
+                assert (await read_json(reader))["type"] == "hello_ack"
+                assert (await read_json(reader))["type"] == "assign"
+                before = controller.store.records_after(0).records
+                assert [r["kind"] for r in before] == ["hello", "request"]
+                for corr_id, options in enumerate(HOSTILE_OPTIONS, start=2):
+                    poison = request_payload(corr_id)
+                    poison["options"] = options
+                    writer.write(wire(poison))
+                    await writer.drain()
+                    assert (await read_json(reader))["code"] == "malformed"
+                assert controller.store.records_after(0).records == before
+                writer.close()
+
+        run(scenario())
+
+    def test_default_reply_never_raises_on_a_decoded_request(self):
+        for options in HOSTILE_OPTIONS:
+            message = RequestMessage(src_id=0, dst_id=1, t_hours=0.0, options=options)
+            assert ViaController._default_reply(message) is None
 
     def test_slow_loris_is_disconnected_by_idle_timeout(self):
         async def scenario():

@@ -19,10 +19,16 @@ from repro.core.sharding import stable_shard_of
 from repro.deployment.client import AsyncViaClient, RedirectError
 from repro.deployment.controller import ViaController
 from repro.deployment.protocol import (
+    AssignMessage,
+    HelloAckMessage,
+    HelloMessage,
+    RedirectMessage,
+    RequestMessage,
     SyncMessage,
     SyncRequestMessage,
     decode_message,
     encode_message,
+    encode_option,
 )
 from repro.deployment.ring import (
     ControllerRing,
@@ -163,6 +169,62 @@ class TestInProcessRouting:
                 assert not ring.shards[wrong]._assign_cache
                 assert ring.shards[wrong]._obs_redirects.value == 1
                 await raw.close()
+
+        run(scenario())
+
+    def test_pipelined_burst_splits_redirects_from_owned(self, tmp_path):
+        """A v2 burst on one connection mixing owned and non-owned pairs:
+        each request is answered on its own ``corr_id`` -- redirect (with
+        the current map) or assign -- and only the owned ones reach the
+        shard's WAL, in arrival order."""
+
+        async def scenario():
+            async with InProcessRing(2, ViaConfig(seed=1), store_root=tmp_path) as ring:
+                owned = owned_dsts(ring.shard_map, 1, per_shard=4)
+                # Interleave: even corr_ids hit shard 0's own pairs, odd
+                # ones knock on the wrong door.
+                dsts = [d for pair in zip(owned[0], owned[1]) for d in pair]
+                shard = ring.shards[0]
+                reader, writer = await asyncio.open_connection("127.0.0.1", shard.port)
+                writer.write(
+                    encode_message(HelloMessage(client_id=1, site="US", protocol=2))
+                )
+                for corr_id, dst in enumerate(dsts):
+                    writer.write(
+                        encode_message(
+                            RequestMessage(
+                                src_id=1,
+                                dst_id=dst,
+                                t_hours=0.1,
+                                options=[encode_option(o) for o in OPTIONS],
+                                corr_id=corr_id,
+                            )
+                        )
+                    )
+                await writer.drain()
+                replies = {}
+                for _ in range(1 + len(dsts)):
+                    line = await asyncio.wait_for(reader.readline(), timeout=10.0)
+                    message = decode_message(line)
+                    replies[message.corr_id] = message
+                writer.close()
+                assert isinstance(replies.pop(None), HelloAckMessage)
+                assert sorted(replies) == list(range(len(dsts)))
+                for corr_id, dst in enumerate(dsts):
+                    reply = replies[corr_id]
+                    if dst in owned[0]:
+                        assert isinstance(reply, AssignMessage), reply
+                    else:
+                        assert isinstance(reply, RedirectMessage), reply
+                        assert reply.shard == 1
+                        assert ShardMap.from_dict(reply.shard_map) == ring.shard_map
+                assert shard._obs_redirects.value == len(owned[1])
+                logged = [
+                    r["dst_id"]
+                    for r in shard.store.records_after(0).records
+                    if r["kind"] == "request"
+                ]
+                assert logged == owned[0]
 
         run(scenario())
 

@@ -1,9 +1,9 @@
 """Batch-vs-scalar equivalence suite for the vectorized hot path.
 
 Every test pins the contract documented in ``docs/performance.md``: the
-columnar layers (``RunningStat.push_many``, ``CallHistory.add_many``,
-``UCB1Explorer.update_many``, ``PredictionTable``,
-``top_k_from_bounds``, ``epsilon_explorations``) and the policy-level
+columnar layers (``RunningStat.push_many``, ``CallHistory.add_group``,
+``UCB1Explorer.update_many``, ``top_k_from_bounds``,
+``epsilon_explorations``) and the policy-level
 ``assign_many``/``observe_many`` interface must be **bit-identical** to
 the scalar path -- same outputs, same RNG draw order, same post-state.
 Floating-point comparisons are therefore exact (``==`` /
@@ -25,7 +25,6 @@ from hypothesis import given, strategies as st
 from repro.core.bandit import UCB1Explorer
 from repro.core.history import CallHistory, RunningStat, history_to_dict
 from repro.core.policy import ViaConfig, ViaPolicy, VectorizedViaPolicy
-from repro.core.predictor import Prediction, PredictionTable
 from repro.core.topk import top_k_from_bounds
 from repro.core.vector import CallBatch, MetricsBatch, epsilon_explorations
 from repro.netmodel.metrics import PathMetrics
@@ -93,28 +92,20 @@ def test_push_many_rejects_bad_shape():
         max_size=60,
     )
 )
-def test_add_many_matches_sequential_add(calls):
-    """add_many == a loop of add: same cells, same aggregates, same
-    bucket insertion order (observable through serialisation)."""
+def test_add_group_matches_sequential_add(calls):
+    """add_group per first-seen (pair, option, window) group == a loop of
+    add: same cells, same aggregates, same window-bucket insertion order
+    (observable through serialisation)."""
     pairs = [(100, 200), (100, 201), (150, 250)]
     scalar, vector = CallHistory(), CallHistory()
+    groups: dict[tuple, list[tuple[float, float, float]]] = {}
     for pair_idx, opt_idx, t_hours, row in calls:
         scalar.add(pairs[pair_idx], _MENU[opt_idx], t_hours, _metrics(row))
-    vector.add_many(
-        [pairs[i] for i, _, _, _ in calls],
-        [_MENU[i] for _, i, _, _ in calls],
-        np.array([t for _, _, t, _ in calls], dtype=np.float64),
-        np.array([row for _, _, _, row in calls], dtype=np.float64).reshape(
-            len(calls), 3
-        ),
-    )
+        key = (pairs[pair_idx], _MENU[opt_idx], scalar.window_of(t_hours))
+        groups.setdefault(key, []).append(row)
+    for (pair_key, option, window), rows in groups.items():
+        vector.add_group(pair_key, option, window, np.array(rows, dtype=np.float64))
     assert history_to_dict(vector) == history_to_dict(scalar)
-
-
-def test_add_many_rejects_mismatched_lengths():
-    history = CallHistory()
-    with pytest.raises(ValueError):
-        history.add_many([(1, 2)], [], np.array([0.0]), np.zeros((1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -154,51 +145,6 @@ def test_update_many_rejects_whole_batch_on_bad_cost():
     with pytest.raises(ValueError):
         bandit.update_many(DIRECT, [1.0, 2.0, -3.0])
     assert bandit.total_plays == 0  # no partial effect
-
-
-# ---------------------------------------------------------------------------
-# PredictionTable
-# ---------------------------------------------------------------------------
-
-
-@given(
-    rows=st.lists(
-        st.tuples(
-            st.tuples(_finite, _finite, _finite),  # mean
-            st.tuples(
-                st.floats(0.0, 1e3, allow_nan=False),
-                st.floats(0.0, 1e3, allow_nan=False),
-                st.floats(0.0, 1e3, allow_nan=False),
-            ),  # sem
-            st.integers(0, 1000),
-        ),
-        max_size=len(_MENU),
-    )
-)
-def test_prediction_table_round_trips_scalar_predictions(rows):
-    """PredictionTable rows and bounds equal the scalar Prediction's."""
-    predictions = {
-        _MENU[i]: Prediction(
-            mean=np.array(mean), sem=np.array(sem), n=n, source=f"s{i}"
-        )
-        for i, (mean, sem, n) in enumerate(rows)
-    }
-    table = PredictionTable.from_predictions(predictions)
-    assert len(table) == len(predictions)
-    assert table.options == tuple(predictions)
-    lower, upper = table.lower(), table.upper()
-    for i, option in enumerate(table.options):
-        scalar = predictions[option]
-        row = table.row(i)
-        assert np.array_equal(row.mean, scalar.mean)
-        assert np.array_equal(row.sem, scalar.sem)
-        assert (row.n, row.source) == (scalar.n, scalar.source)
-        for m in range(3):
-            assert lower[i, m] == scalar.lower(m)
-            assert upper[i, m] == scalar.upper(m)
-    # as_dict round-trips the keys in order (values already checked
-    # field-by-field above; Prediction.__eq__ on arrays is ambiguous).
-    assert list(table.as_dict()) == list(predictions)
 
 
 # ---------------------------------------------------------------------------
