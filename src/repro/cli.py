@@ -345,7 +345,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
         print(f"error: {root} is not a directory", file=sys.stderr)
         return 2
     wal_dir = root / "wal"
-    snapshot_path = root / "snapshot.json"
+    snapshot_file = root / "snapshot.json"
     compacted_path = root / "compacted.json"
 
     if args.action == "compact":
@@ -373,9 +373,9 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
     snapshot_seq = 0
     snapshot_state = "missing"
-    if snapshot_path.exists():
+    if snapshot_file.exists():
         try:
-            payload = json.loads(snapshot_path.read_text(encoding="utf-8"))
+            payload = json.loads(snapshot_file.read_text(encoding="utf-8"))
             from repro.store import SNAPSHOT_FORMAT
 
             if payload.get("format") != SNAPSHOT_FORMAT:

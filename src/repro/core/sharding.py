@@ -153,10 +153,6 @@ class ShardedPolicy:
             self._placement[pair_key] = shard
         return shard
 
-    def _shard_for(self, call: Call) -> int:
-        """Back-compat alias for :meth:`_route` (hash-mode semantics)."""
-        return self._route(call)
-
     # ------------------------------------------------------------------
     # The scalar policy interface
     # ------------------------------------------------------------------

@@ -58,6 +58,7 @@ from repro.deployment.protocol import (
     ShedMessage,
     StatsRequestMessage,
     SyncRequestMessage,
+    check_measurement,
     check_options,
     decode_message,
     encode_message,
@@ -254,11 +255,14 @@ class ViaServer:
             corr_id = None
             try:
                 message = decode_message(line)
+                # Decodable but possibly hostile: gate the field shapes
+                # before the ladder, the WAL or the policy can see them.
                 if isinstance(message, RequestMessage):
-                    # Decodable but possibly hostile: gate the nested field
-                    # before the ladder, the WAL or the policy can see it.
                     corr_id = message.corr_id
                     check_options(message.options)
+                elif isinstance(message, MeasurementMessage):
+                    corr_id = message.corr_id
+                    check_measurement(message)
             except ProtocolError as exc:
                 controller._obs_protocol_errors.inc()
                 logger.warning("dropping bad message from %s: %s", conn.peer, exc)

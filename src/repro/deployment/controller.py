@@ -24,17 +24,15 @@ Robustness (§7 operational concerns):
   controller into its own chaos monkey (dropped connections, delayed or
   blackholed replies, stalled or force-shed request windows) for fault
   experiments;
-* learned state can be checkpointed to disk and is reloaded on start, so
-  a controller crash recovers instead of relearning from scratch;
-* with a :class:`~repro.store.Store` attached, every state-changing
-  message is appended to a write-ahead log *before* the policy acts on
-  it, and startup recovery replays the WAL tail on top of the latest
-  snapshot -- a crash loses nothing, not just "since the last snapshot".
+* with a :class:`~repro.store.Store` attached, learned state is
+  checkpointed to disk and every state-changing message is appended to a
+  write-ahead log *before* the policy acts on it; startup recovery
+  replays the WAL tail on top of the latest snapshot, so a crash loses
+  nothing instead of relearning from scratch.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from pathlib import Path
 from typing import Any
@@ -58,7 +56,7 @@ from repro.deployment.protocol import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import timed
-from repro.store import Store, atomic_write_bytes, recover
+from repro.store import Store, recover
 from repro.telephony.call import Call
 
 __all__ = ["ViaController"]
@@ -80,9 +78,11 @@ class ViaController:
     bye removes); ``site_labels`` remembers every site a client ever
     announced, used for the Call records' country field.
 
-    ``faults`` injects controller-side chaos; ``snapshot_path`` makes
-    :meth:`start` restore a previous checkpoint when one exists (write one
-    with :meth:`save_snapshot`).  ``admission`` tunes the overload ladder
+    ``faults`` injects controller-side chaos; ``store`` (a
+    :class:`~repro.store.Store` or a directory for one) makes
+    :meth:`start` recover the latest snapshot plus the WAL tail and never
+    raise on damage (checkpoint on demand with
+    :meth:`save_store_snapshot`).  ``admission`` tunes the overload ladder
     (the default config admits everything); ``n_workers`` sizes the
     policy worker pool serving pipelined v2 requests; ``idle_timeout_s``
     disconnects slow-loris/idle peers (None disables).
@@ -117,7 +117,6 @@ class ViaController:
         host: str = "127.0.0.1",
         port: int = 0,
         faults: FaultPlan | None = None,
-        snapshot_path: str | Path | None = None,
         registry: MetricsRegistry | None = None,
         store: Store | str | Path | None = None,
         admission: AdmissionConfig | None = None,
@@ -143,7 +142,6 @@ class ViaController:
         self.faults = FaultInjector(faults) if faults is not None else None
         self.admission = AdmissionController(admission, registry=self.registry)
         self._frontend: ViaServer | None = None
-        self.snapshot_path = Path(snapshot_path) if snapshot_path is not None else None
         # Durable storage plane: a path builds a Store sharing this
         # controller's registry, so one scrape shows via_store_* too.
         if store is not None and not isinstance(store, Store):
@@ -236,23 +234,6 @@ class ViaController:
             # raises; damage downgrades to a counted outcome instead.
             report = recover(self.store, self)
             self._obs_snapshot_restores.labels(outcome=report.snapshot_outcome).inc()
-        elif self.snapshot_path is not None:
-            if not self.snapshot_path.exists():
-                self._obs_snapshot_restores.labels(outcome="missing").inc()
-            else:
-                # Auto-restore is best-effort: a corrupt checkpoint (e.g. a
-                # crash mid-write) must not prevent the controller from
-                # starting fresh.  Explicit load_snapshot() still raises.
-                try:
-                    self.load_snapshot(self.snapshot_path)
-                except (ValueError, KeyError, OSError, json.JSONDecodeError):
-                    self._obs_snapshot_restores.labels(outcome="corrupt").inc()
-                    logger.exception(
-                        "ignoring unreadable snapshot %s; starting fresh",
-                        self.snapshot_path,
-                    )
-                else:
-                    self._obs_snapshot_restores.labels(outcome="ok").inc()
         frontend = ViaServer(
             self,
             self.admission,
@@ -318,29 +299,6 @@ class ViaController:
         self._call_counter = int(payload.get("call_counter", 0))
         self.site_labels.update(
             {int(cid): site for cid, site in payload.get("site_labels", {}).items()}
-        )
-
-    @timed("controller.save_snapshot")
-    def save_snapshot(self, path: str | Path | None = None) -> Path:
-        """Write the checkpoint to ``path`` (default: ``snapshot_path``)."""
-        target = Path(path) if path is not None else self.snapshot_path
-        if target is None:
-            raise ValueError("no snapshot path given and none configured")
-        # Write + fsync + rename + directory fsync: without the fsyncs a
-        # power loss after the rename can still surface a zero-length
-        # "good" checkpoint (the rename survives, the data doesn't).
-        return atomic_write_bytes(
-            target, json.dumps(self.snapshot_dict()).encode("utf-8")
-        )
-
-    def load_snapshot(self, path: str | Path) -> None:
-        """Restore the checkpoint at ``path``."""
-        self.restore_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-        logger.info(
-            "restored snapshot from %s (%d measurements, %d requests)",
-            path,
-            self.n_measurements,
-            self.n_requests,
         )
 
     # ------------------------------------------------------------------
@@ -529,6 +487,7 @@ class ViaController:
                 self._obs_policy_errors.inc()
                 logger.exception("replayed policy.assign failed (seq=%s)", record.get("seq"))
 
+    @timed("controller.save_store_snapshot")
     def save_store_snapshot(self) -> Path:
         """Snapshot into the durable store and fold the covered WAL down."""
         if self.store is None:

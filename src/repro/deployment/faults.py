@@ -66,17 +66,6 @@ class FaultPlan:
                 if end <= start:
                     raise ValueError(f"empty {field} window: [{start}, {end})")
 
-    @property
-    def any_faults(self) -> bool:
-        return bool(
-            self.drop_connection_rate
-            or self.delay_reply_rate
-            or self.blackhole_windows
-            or self.stall_windows
-            or self.overload_windows
-            or self.relay_outages
-        )
-
     def blackholed_at(self, t_hours: float) -> bool:
         """Is the controller blackholing requests at ``t_hours``?"""
         return any(start <= t_hours < end for start, end in self.blackhole_windows)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Union
 
@@ -61,6 +62,7 @@ __all__ = [
     "encode_option",
     "decode_option",
     "check_options",
+    "check_measurement",
     "read_wire_line",
     "ProtocolError",
     "OversizedLineError",
@@ -105,6 +107,13 @@ def decode_option(data: dict[str, Any]) -> RelayOption:
 
 
 _OPTION_KINDS = tuple(kind.value for kind in OptionKind)
+_FLOAT_MAX = sys.float_info.max
+
+
+def _check_option(data: Any) -> None:
+    # == against a tuple, not a set probe: a hostile kind may be unhashable.
+    if not isinstance(data, dict) or data.get("kind") not in _OPTION_KINDS:
+        raise ProtocolError(f"bad option payload: {data!r:.80}")
 
 
 def check_options(options: Any) -> None:
@@ -118,9 +127,29 @@ def check_options(options: Any) -> None:
     if not isinstance(options, list):
         raise ProtocolError(f"options must be a list: {options!r:.80}")
     for data in options:
-        # == against a tuple, not a set probe: a hostile kind may be unhashable.
-        if not isinstance(data, dict) or data.get("kind") not in _OPTION_KINDS:
-            raise ProtocolError(f"bad option payload: {data!r:.80}")
+        _check_option(data)
+
+
+def check_measurement(message: "MeasurementMessage") -> None:
+    """Reject a measurement unless its option is an option object of
+    known kind, its ids are integers and its time and metrics are finite
+    real numbers.
+
+    The measurement twin of :func:`check_options`: run before the message
+    is counted, WAL-logged or shown to the policy, so a poison record can
+    never be replayed on every later recovery.
+    """
+    _check_option(message.option)
+    for name in ("src_id", "dst_id"):
+        value = getattr(message, name)
+        if type(value) is not int:  # bool is an int subclass, not an id
+            raise ProtocolError(f"{name} must be an integer: {value!r:.80}")
+    for name in ("t_hours", "rtt_ms", "loss_rate", "jitter_ms"):
+        value = getattr(message, name)
+        # The comparison is False for NaN and +-inf, and exact (no
+        # OverflowError) for an integer too large to become a float.
+        if type(value) not in (int, float) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            raise ProtocolError(f"{name} must be a finite number: {value!r:.80}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,6 +18,7 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
+from repro.core.hybrid import blend_call_metrics
 from repro.core.multipath import combined_metrics
 from repro.core.policy import SelectionPolicy
 from repro.netmodel.metrics import METRICS
@@ -151,15 +152,18 @@ def replay(
     ``prober`` optionally executes active mock-call measurements between
     real calls (the §7 extension; see :mod:`repro.core.probing`).
 
-    ``batch_calls > 1`` routes through the policy's vectorised
-    ``assign_many``/``observe_many`` interface in chunks of up to that many
-    calls (trimmed at relay-outage boundaries).  Within a chunk the policy
+    The trace is walked in chunks of up to ``batch_calls`` calls, trimmed
+    at relay-outage boundaries.  A chunk of several calls goes through the
+    policy's vectorised ``assign_many``/``observe_many``: the policy
     assigns every call before observing any outcome, so learning feedback
     is delayed by up to one chunk relative to the serial interleaving --
     the documented batch-semantics trade-off (``docs/performance.md``).
-    ``batch_calls=1`` is the serial path, bit for bit.  Policies without a
-    batch interface, and replays using a prober or a probing policy, fall
-    back to serial regardless.
+    A chunk of one goes through the scalar entry points -- ``assign``/
+    ``observe``, ``assign_paths``/``observe_paths`` for a multipath policy,
+    or the ``plan_probe``/``commit_probe`` exchange for a hybrid one -- so
+    ``batch_calls=1`` is the serial §5.1 replay.  Multipath and probing
+    policies, replays using a prober, and policies without a batch
+    interface run in chunks of one whatever ``batch_calls`` says.
 
     The outcome RNG is derived from ``seed`` only, so two policies replayed
     with the same seed face identical noise *processes* (though different
@@ -169,288 +173,171 @@ def replay(
         raise ValueError(f"batch_calls must be >= 1: {batch_calls}")
     rng = np.random.default_rng(seed)
     result = ReplayResult(policy_name=policy.name)
-    if getattr(policy, "assign_paths", None) is not None:
-        # Multipath policies commit every call to a two-path PathSet; they
-        # have their own loop because each call consumes two ground-truth
-        # draws and scores the combined stream.
-        return _replay_multipath(world, trace, policy, rng, result, quality=quality)
-    if (
-        batch_calls > 1
-        and prober is None
-        and getattr(policy, "plan_probe", None) is None
-    ):
-        if hasattr(policy, "assign_many") and hasattr(policy, "observe_many"):
-            return _replay_batched(
-                world, trace, policy, rng, result,
-                quality=quality, batch_calls=batch_calls,
-            )
-        # The caller asked for the batch hot path but this policy cannot
-        # serve it; say so once rather than silently running ~15x slower.
-        if policy.name not in _WARNED_NO_BATCH_API:
-            _WARNED_NO_BATCH_API.add(policy.name)
-            logger.info(
-                "replay(batch_calls=%d): policy %s has no assign_many/"
-                "observe_many; falling back to the scalar loop",
-                batch_calls,
-                policy.name,
-            )
     outcomes = result.outcomes
-    sample_call = world.sample_call
-    options_for_pair = world.options_for_pair
-    probe_call_id = -1
+    assign_paths = getattr(policy, "assign_paths", None)
     plan_probe = getattr(policy, "plan_probe", None)
+    if batch_calls > 1:
+        if assign_paths is not None or plan_probe is not None or prober is not None:
+            batch_calls = 1
+        elif not (hasattr(policy, "assign_many") and hasattr(policy, "observe_many")):
+            # The caller asked for the batch hot path but this policy cannot
+            # serve it; say so once rather than silently running ~15x slower.
+            if policy.name not in _WARNED_NO_BATCH_API:
+                _WARNED_NO_BATCH_API.add(policy.name)
+                logger.info(
+                    "replay(batch_calls=%d): policy %s has no assign_many/"
+                    "observe_many; falling back to chunks of one",
+                    batch_calls,
+                    policy.name,
+                )
+            batch_calls = 1
     # Relay outages: keep the policy's down-relay set in sync with the
     # world's schedule, and flag every outcome that ran during a window.
     outages = tuple(getattr(world, "outages", ()))
     set_down = getattr(policy, "set_down_relays", None) if outages else None
     last_down: frozenset[int] | None = None
-    n_total = len(trace)
     obs_calls = _C_CALLS.labels(policy=policy.name)
     last_day = -1
-    for call in trace:
+    probe_call_id = -1
+
+    def book(call, paths, metrics) -> None:
+        """Record one call that rode ``paths`` (one option, or a multipath
+        policy's two) and realised ``metrics``."""
+        if outages:
+            # A call is dead when every path it rides is on a down relay
+            # and degraded when only some are: a single-path call
+            # (including a probed call's winner) can only be dead.
+            n_up = 0
+            for path in paths:
+                n_up += world.option_available(path, call.t_hours)
+            if n_up == 0:
+                result.n_dead_assignments += 1
+            elif n_up < len(paths):
+                result.n_degraded_assignments += 1
+        rating = quality.maybe_rate(metrics, rng) if quality is not None else None
+        outcomes.append(
+            CallOutcome(call=call, option=paths[0], metrics=metrics, rating=rating)
+        )
+
+    calls = list(trace)
+    n = len(calls)
+    i = 0
+    while i < n:
+        call = calls[i]
+        j = min(i + batch_calls, n)
+        if outages:
+            # Trim the chunk at the first outage transition so one
+            # ``set_down_relays`` call covers every call in it.
+            down = world.relays_down_at(call.t_hours)
+            k = i + 1
+            while k < j and world.relays_down_at(calls[k].t_hours) == down:
+                k += 1
+            j = k
+            if set_down is not None and down != last_down:
+                set_down(down)
+                last_down = down
+            result.outage_flags.extend([bool(down)] * (j - i))
         if obs_runtime.enabled:
             day = int(call.t_hours // 24.0)
             if day != last_day:
                 _G_DAY.set(day)
                 last_day = day
-            done = len(outcomes)
-            _G_CALLS.set(done)
-            _G_FRACTION.set(done / n_total if n_total else 1.0)
-            obs_calls.inc()
-        if outages:
-            down = world.relays_down_at(call.t_hours)
-            if set_down is not None and down != last_down:
-                set_down(down)
-                last_down = down
-            result.outage_flags.append(bool(down))
-        options = options_for_pair(call.src_asn, call.dst_asn)
-        if call.direct_blocked:
-            # NAT/firewall pair: the default path is not establishable, so
-            # only relayed options are on the table (§2.1).
-            options = [o for o in options if o.is_relayed]
-        if plan_probe is not None:
-            plan = plan_probe(call, options)
-            if plan is not None:
-                outcome = _probed_outcome(world, policy, call, plan, rng, quality)
-                # Probed calls commit to a real assignment too; a winner
-                # riding a down relay is just as dead as a directly
-                # assigned one, so it gets the same accounting.
-                if outages and not world.option_available(
-                    outcome.option, call.t_hours
-                ):
-                    result.n_dead_assignments += 1
-                outcomes.append(outcome)
-                continue
-        option = policy.assign(call, options)
-        if outages and not world.option_available(option, call.t_hours):
-            result.n_dead_assignments += 1
-        metrics = sample_call(
-            call.src_asn,
-            call.dst_asn,
-            option,
-            call.t_hours,
-            rng,
-            src_wireless=call.src_wireless,
-            dst_wireless=call.dst_wireless,
-            src_prefix=call.src_prefix,
-            dst_prefix=call.dst_prefix,
-        )
-        policy.observe(call, option, metrics)
-        rating = quality.maybe_rate(metrics, rng) if quality is not None else None
-        outcomes.append(CallOutcome(call=call, option=option, metrics=metrics, rating=rating))
-        if prober is not None:
-            for request in prober.probes_after(call):
+            _G_CALLS.set(i)
+            _G_FRACTION.set(i / n)
+            obs_calls.inc(j - i)
+        if j - i > 1:
+            chunk = calls[i:j]
+            choices = policy.assign_many(chunk, [_menu(world, c) for c in chunk])
+            rows = []
+            for member, option in zip(chunk, choices):
+                # Sample, then rate, call by call: rating the chunk after
+                # sampling it would reorder the outcome RNG's draws.
+                metrics = _sample(world, member, option, rng)
+                rows.append(metrics)
+                book(member, (option,), metrics)
+            policy.observe_many(chunk, choices, rows)
+        else:
+            # A chunk of one takes the scalar entry points, not
+            # ``assign_many`` of one, which costs several times as much.
+            options = _menu(world, call)
+            plan = plan_probe(call, options) if plan_probe is not None else None
+            probes = ()
+            if assign_paths is not None:
+                paths, metrics = _multipath_call(world, policy, call, options, rng)
+            elif plan is not None:
+                paths, metrics = _probed_call(world, policy, call, plan, rng)
+            else:
+                option = policy.assign(call, options)
+                metrics = _sample(world, call, option, rng)
+                policy.observe(call, option, metrics)
+                paths = (option,)
+                if prober is not None:
+                    probes = prober.probes_after(call)
+            book(call, paths, metrics)
+            for request in probes:
+                # Mock calls are drawn after their real call is rated.
                 src, dst, probe_option = request
                 mock = prober.make_probe_call(request, call.t_hours, probe_call_id)
                 probe_call_id -= 1
-                probe_metrics = sample_call(src, dst, probe_option, call.t_hours, rng)
-                policy.observe(mock, probe_option, probe_metrics)
+                policy.observe(
+                    mock,
+                    probe_option,
+                    world.sample_call(src, dst, probe_option, call.t_hours, rng),
+                )
+        i = j
     if obs_runtime.enabled:
-        _G_CALLS.set(len(outcomes))
+        _G_CALLS.set(n)
         _G_FRACTION.set(1.0)
     result.n_probes = prober.n_probes_issued if prober is not None else 0
     return result
 
 
-def _replay_batched(
-    world: World,
-    trace: TraceDataset,
-    policy: SelectionPolicy,
-    rng: np.random.Generator,
-    result: ReplayResult,
-    *,
-    quality: QualityModel | None,
-    batch_calls: int,
-) -> ReplayResult:
-    """Chunked replay through ``assign_many``/``observe_many``.
-
-    Chunks never span a relay-outage boundary, so the policy's down-relay
-    set stays synchronised exactly as in the serial loop.  Per-call outcome
-    sampling (and optional rating) consumes the outcome RNG in the same
-    order as serial replay -- ``batch_calls=1`` therefore reproduces the
-    serial result bit for bit, while larger chunks differ only through the
-    documented delayed-feedback semantics of the batch interface.
-    """
-    outcomes = result.outcomes
-    sample_call = world.sample_call
-    options_for_pair = world.options_for_pair
-    outages = tuple(getattr(world, "outages", ()))
-    set_down = getattr(policy, "set_down_relays", None) if outages else None
-    last_down: frozenset[int] | None = None
-    n_total = len(trace)
-    obs_calls = _C_CALLS.labels(policy=policy.name)
-    last_day = -1
-    calls = list(trace)
-    n = len(calls)
-    i = 0
-    while i < n:
-        if outages:
-            # Trim the chunk at the first outage transition so one
-            # ``set_down_relays`` call covers every call in it.
-            down = world.relays_down_at(calls[i].t_hours)
-            j = i + 1
-            while j < n and j - i < batch_calls:
-                if world.relays_down_at(calls[j].t_hours) != down:
-                    break
-                j += 1
-            if set_down is not None and down != last_down:
-                set_down(down)
-                last_down = down
-            result.outage_flags.extend([bool(down)] * (j - i))
-        else:
-            j = min(i + batch_calls, n)
-        chunk = calls[i:j]
-        if obs_runtime.enabled:
-            day = int(chunk[0].t_hours // 24.0)
-            if day != last_day:
-                _G_DAY.set(day)
-                last_day = day
-            done = len(outcomes)
-            _G_CALLS.set(done)
-            _G_FRACTION.set(done / n_total if n_total else 1.0)
-            obs_calls.inc(len(chunk))
-        options_per_call = []
-        for call in chunk:
-            options = options_for_pair(call.src_asn, call.dst_asn)
-            if call.direct_blocked:
-                options = [o for o in options if o.is_relayed]
-            options_per_call.append(options)
-        choices = policy.assign_many(chunk, options_per_call)
-        metrics_rows = []
-        for call, option in zip(chunk, choices):
-            if outages and not world.option_available(option, call.t_hours):
-                result.n_dead_assignments += 1
-            metrics = sample_call(
-                call.src_asn,
-                call.dst_asn,
-                option,
-                call.t_hours,
-                rng,
-                src_wireless=call.src_wireless,
-                dst_wireless=call.dst_wireless,
-                src_prefix=call.src_prefix,
-                dst_prefix=call.dst_prefix,
-            )
-            metrics_rows.append(metrics)
-            rating = quality.maybe_rate(metrics, rng) if quality is not None else None
-            outcomes.append(
-                CallOutcome(call=call, option=option, metrics=metrics, rating=rating)
-            )
-        policy.observe_many(chunk, choices, metrics_rows)
-        i = j
-    if obs_runtime.enabled:
-        _G_CALLS.set(len(outcomes))
-        _G_FRACTION.set(1.0)
-    return result
+def _menu(world: World, call):
+    """The options on the table for ``call``."""
+    options = world.options_for_pair(call.src_asn, call.dst_asn)
+    if call.direct_blocked:
+        # NAT/firewall pair: the default path is not establishable, so
+        # only relayed options are on the table (§2.1).
+        options = [o for o in options if o.is_relayed]
+    return options
 
 
-def _replay_multipath(
-    world: World,
-    trace: TraceDataset,
-    policy,
-    rng: np.random.Generator,
-    result: ReplayResult,
-    *,
-    quality: QualityModel | None,
-) -> ReplayResult:
-    """Replay through a multipath policy's ``assign_paths`` interface.
+def _sample(world: World, call, option, rng: np.random.Generator):
+    """One ground-truth draw for ``call`` riding ``option``."""
+    return world.sample_call(
+        call.src_asn,
+        call.dst_asn,
+        option,
+        call.t_hours,
+        rng,
+        src_wireless=call.src_wireless,
+        dst_wireless=call.dst_wireless,
+        src_prefix=call.src_prefix,
+        dst_prefix=call.dst_prefix,
+    )
+
+
+def _multipath_call(world, policy, call, options, rng):
+    """One multipath call: two concurrent paths, one combined stream.
 
     Each call rides a :class:`~repro.core.multipath.PathSet` of two
     concurrent relay paths.  Both constituents get an independent
     ground-truth draw (primary first, then secondary, so the RNG stream
     stays deterministic), and the recorded outcome carries the *combined*
     stream metrics -- best-of for duplication, weighted blend for
-    splitting.  Outage accounting distinguishes losing both paths
-    (``n_dead_assignments``) from losing exactly one
-    (``n_degraded_assignments``); per-path samples during an outage show
-    the world's outage penalty, so duplicated calls survive on the live
-    path while split calls degrade in proportion to the lost share.
+    splitting.  Per-path samples during an outage show the world's outage
+    penalty, so duplicated calls survive on the live path while split
+    calls degrade in proportion to the lost share.
     """
-    outcomes = result.outcomes
-    sample_call = world.sample_call
-    options_for_pair = world.options_for_pair
-    outages = tuple(getattr(world, "outages", ()))
-    set_down = getattr(policy, "set_down_relays", None) if outages else None
-    last_down: frozenset[int] | None = None
-    n_total = len(trace)
-    obs_calls = _C_CALLS.labels(policy=policy.name)
-    last_day = -1
-    for call in trace:
-        if obs_runtime.enabled:
-            day = int(call.t_hours // 24.0)
-            if day != last_day:
-                _G_DAY.set(day)
-                last_day = day
-            done = len(outcomes)
-            _G_CALLS.set(done)
-            _G_FRACTION.set(done / n_total if n_total else 1.0)
-            obs_calls.inc()
-        if outages:
-            down = world.relays_down_at(call.t_hours)
-            if set_down is not None and down != last_down:
-                set_down(down)
-                last_down = down
-            result.outage_flags.append(bool(down))
-        options = options_for_pair(call.src_asn, call.dst_asn)
-        if call.direct_blocked:
-            options = [o for o in options if o.is_relayed]
-        path_set = policy.assign_paths(call, options)
-        if outages:
-            primary_up = world.option_available(path_set.primary, call.t_hours)
-            secondary_up = world.option_available(path_set.secondary, call.t_hours)
-            if not primary_up and not secondary_up:
-                result.n_dead_assignments += 1
-            elif not (primary_up and secondary_up):
-                result.n_degraded_assignments += 1
-        kwargs = dict(
-            src_wireless=call.src_wireless,
-            dst_wireless=call.dst_wireless,
-            src_prefix=call.src_prefix,
-            dst_prefix=call.dst_prefix,
-        )
-        primary_metrics = sample_call(
-            call.src_asn, call.dst_asn, path_set.primary, call.t_hours, rng, **kwargs
-        )
-        secondary_metrics = sample_call(
-            call.src_asn, call.dst_asn, path_set.secondary, call.t_hours, rng, **kwargs
-        )
-        combined = combined_metrics(path_set, primary_metrics, secondary_metrics)
-        policy.observe_paths(
-            call, path_set, primary_metrics, secondary_metrics, combined
-        )
-        rating = quality.maybe_rate(combined, rng) if quality is not None else None
-        outcomes.append(
-            CallOutcome(
-                call=call, option=path_set.primary, metrics=combined, rating=rating
-            )
-        )
-    if obs_runtime.enabled:
-        _G_CALLS.set(len(outcomes))
-        _G_FRACTION.set(1.0)
-    return result
+    path_set = policy.assign_paths(call, options)
+    primary = _sample(world, call, path_set.primary, rng)
+    secondary = _sample(world, call, path_set.secondary, rng)
+    combined = combined_metrics(path_set, primary, secondary)
+    policy.observe_paths(call, path_set, primary, secondary, combined)
+    return (path_set.primary, path_set.secondary), combined
 
 
-def _probed_outcome(world, policy, call, plan, rng, quality) -> CallOutcome:
+def _probed_call(world, policy, call, plan, rng):
     """One hybrid-reactive call: probe candidates, switch to the winner.
 
     Media rides the predicted-best candidate during the probe window; the
@@ -458,27 +345,14 @@ def _probed_outcome(world, policy, call, plan, rng, quality) -> CallOutcome:
     the duration-weighted blend of both phases (see
     :mod:`repro.core.hybrid`).
     """
-    from repro.core.hybrid import blend_call_metrics
-
-    kwargs = dict(
-        src_wireless=call.src_wireless,
-        dst_wireless=call.dst_wireless,
-        src_prefix=call.src_prefix,
-        dst_prefix=call.dst_prefix,
-    )
     samples = {
-        candidate: world.sample_call(
-            call.src_asn, call.dst_asn, candidate, call.t_hours, rng, **kwargs
-        )
+        candidate: _sample(world, call, candidate, rng)
         for candidate in plan.candidates
     }
     final = policy.commit_probe(call, plan, samples)
-    rest = world.sample_call(
-        call.src_asn, call.dst_asn, final, call.t_hours, rng, **kwargs
-    )
+    rest = _sample(world, call, final, rng)
     policy.observe(call, final, rest)
     metrics = blend_call_metrics(
         samples[plan.primary], rest, policy.probe_weight(call)
     )
-    rating = quality.maybe_rate(metrics, rng) if quality is not None else None
-    return CallOutcome(call=call, option=final, metrics=metrics, rating=rating)
+    return (final,), metrics

@@ -439,13 +439,6 @@ class WriteAheadLog:
         """Immutable sealed segments, oldest first."""
         return list(self._sealed)
 
-    def all_paths(self) -> list[Path]:
-        """Every segment path on disk, oldest first, active last."""
-        paths = [s.path for s in self._sealed]
-        if self._active_path is not None:
-            paths.append(self._active_path)
-        return paths
-
     def drop_segments(self, infos: Iterable[SegmentInfo]) -> int:
         """Delete sealed segments (after compaction folded them); returns
         the bytes reclaimed."""

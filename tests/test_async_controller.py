@@ -68,6 +68,38 @@ async def read_json(reader: asyncio.StreamReader) -> dict:
 HOSTILE_OPTIONS = [[1], 7, "direct", [{"kind": "wormhole"}]]
 
 
+#: Measurement fields that survive ``decode_message`` the same way but
+#: are not an option object, an integer id or a finite real number.
+HOSTILE_MEASUREMENT_FIELDS = [
+    ("option", [1]),
+    ("option", {"kind": "wormhole"}),
+    ("rtt_ms", "abc"),
+    ("rtt_ms", float("nan")),
+    ("loss_rate", float("inf")),
+    ("jitter_ms", None),
+    ("t_hours", True),
+    ("t_hours", 10**400),
+    ("src_id", 1.5),
+    ("dst_id", "7"),
+]
+
+
+def measurement_payload(corr_id: int | None, rtt_ms: float = 80.0) -> dict:
+    payload = {
+        "type": "measurement",
+        "src_id": 0,
+        "dst_id": 1,
+        "t_hours": 0.1,
+        "option": {"kind": "bounce", "ingress": 0, "egress": 0},
+        "rtt_ms": rtt_ms,
+        "loss_rate": 0.01,
+        "jitter_ms": 4.0,
+    }
+    if corr_id is not None:
+        payload["corr_id"] = corr_id
+    return payload
+
+
 def request_payload(corr_id: int | None, t_hours: float = 0.1) -> dict:
     payload = {
         "type": "request",
@@ -346,6 +378,53 @@ class TestHostileClients:
                 writer.close()
 
         run(scenario())
+
+    @pytest.mark.parametrize("protocol", [1, 2])
+    @pytest.mark.parametrize(
+        "field,value", HOSTILE_MEASUREMENT_FIELDS, ids=lambda v: repr(v)[:24]
+    )
+    def test_hostile_measurement_is_rejected_before_the_wal(
+        self, field, value, protocol, tmp_path, caplog, poll_until
+    ):
+        """A decodable measurement with a hostile field is answered like
+        a malformed line -- a correlated error on v2, a drop on v1 --
+        and never reaches the WAL (where every later recovery would
+        replay it) or the policy; a valid one right behind it is learned."""
+
+        async def scenario():
+            async with ViaController(store=tmp_path / "store") as controller:
+                reader, writer = await raw_connect(controller.port)
+                hello = {"type": "hello", "client_id": 0, "site": "US"}
+                if protocol == 2:
+                    hello["protocol"] = 2
+                writer.write(wire(hello))
+                await writer.drain()
+                if protocol == 2:
+                    assert (await read_json(reader))["type"] == "hello_ack"
+                await poll_until(lambda: controller.site_labels)
+                before = controller.store.records_after(0).records
+                assert [r["kind"] for r in before] == ["hello"]
+                poison = measurement_payload(41 if protocol == 2 else None)
+                poison[field] = value
+                writer.write(wire(poison))
+                writer.write(wire(measurement_payload(None)))
+                await writer.drain()
+                if protocol == 2:
+                    error = await read_json(reader)
+                    assert (error["type"], error["code"]) == ("error", "malformed")
+                    assert error["corr_id"] == 41
+                assert await poll_until(lambda: controller.n_measurements) == 1
+                after = controller.store.records_after(0).records
+                assert after[: len(before)] == before
+                assert [r["kind"] for r in after[len(before):]] == ["measurement"]
+                assert controller.policy.history.total_calls() == 1
+                assert controller._obs_protocol_errors.value == 1
+                assert controller.n_policy_errors == 0
+                writer.close()
+
+        with caplog.at_level("ERROR"):
+            run(scenario())
+        assert not [r for r in caplog.records if r.levelname == "ERROR"], caplog.text
 
     def test_default_reply_never_raises_on_a_decoded_request(self):
         for options in HOSTILE_OPTIONS:

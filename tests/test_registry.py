@@ -39,6 +39,7 @@ from repro.core.sharding import ShardedPolicy
 from repro.simulation import PolicySpec, standard_policies
 from repro.simulation.replay import replay
 from repro.verify import run_differential
+from repro.workload import WorkloadConfig, generate_trace
 from repro.verify.differential import DivergenceError
 
 
@@ -170,6 +171,45 @@ class TestSpecBitIdentity:
         )
         assert isinstance(policy, MultipathBanditPolicy)
         assert policy.mode == "split"
+
+
+@pytest.fixture(scope="module")
+def blocked_trace(small_world):
+    """600 calls on the small world, one in ten NAT-blocked."""
+    trace = generate_trace(
+        small_world.topology,
+        WorkloadConfig(n_calls=600, n_pairs=60, frac_direct_blocked=0.1, seed=19),
+        n_days=8,
+    )
+    assert any(c.direct_blocked for c in trace.calls)
+    return trace
+
+
+class TestReplayConformance:
+    """Every registry entry through the one replay loop, as chunks of one
+    and as chunks of many: the contract any selector must meet."""
+
+    @pytest.mark.parametrize("batch_calls", [1, 64])
+    @pytest.mark.parametrize("name", policy_names())
+    def test_entry_replays(self, small_world, blocked_trace, name, batch_calls):
+        def run():
+            policy = build_policy(name, small_world, seed=3)
+            return replay(
+                small_world, blocked_trace, policy, seed=4, batch_calls=batch_calls
+            )
+
+        result = run()
+        # Exactly one outcome per call, in trace order.
+        assert [o.call for o in result.outcomes] == list(blocked_trace.calls)
+        for outcome in result.outcomes:
+            call = outcome.call
+            assert outcome.option in small_world.options_for_pair(
+                call.src_asn, call.dst_asn
+            )
+            if call.direct_blocked:
+                assert outcome.option.is_relayed
+        # A freshly built policy replays to the same numbers.
+        assert _outcome_key(run()) == _outcome_key(result)
 
 
 class TestDifferentialRegistryNames:

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.baselines import DefaultPolicy, OraclePolicy, make_via
 from repro.core.hybrid import ProbePlan
+from repro.core.probing import ActiveProber
+from repro.core.registry import build_policy
 from repro.netmodel import TopologyConfig, WorldConfig, build_world
 from repro.netmodel.options import DIRECT
 from repro.netmodel.world import RelayOutage
@@ -197,3 +201,148 @@ class TestProbedOutageAccounting:
         probed_relayed = sum(o.option.is_relayed for o in result.outcomes)
         assert probed_relayed > 0
         assert result.n_dead_assignments == probed_relayed
+
+
+# ---------------------------------------------------------------------------
+# Pinned numbers
+# ---------------------------------------------------------------------------
+
+_PIN_TOPOLOGY = TopologyConfig(n_countries=8, n_relays=5, seed=41)
+
+
+def _pin_world(with_outages: bool):
+    world = build_world(WorldConfig(topology=_PIN_TOPOLOGY, n_days=4, seed=43))
+    if with_outages:
+        # Two overlapping windows: the down set goes {} -> {a} -> {a, b}
+        # -> {b} -> {}, so chunks are trimmed at four transitions.
+        first, second = world.topology.relay_ids[:2]
+        world.add_outage(RelayOutage(relay_id=first, start_hours=20.0, end_hours=50.0))
+        world.add_outage(RelayOutage(relay_id=second, start_hours=40.0, end_hours=70.0))
+    return world
+
+
+@pytest.fixture(scope="module")
+def pin_worlds():
+    return {False: _pin_world(False), True: _pin_world(True)}
+
+
+@pytest.fixture(scope="module")
+def pin_trace(pin_worlds):
+    return generate_trace(
+        pin_worlds[False].topology,
+        WorkloadConfig(n_calls=1_500, n_pairs=60, frac_direct_blocked=0.1, seed=47),
+        n_days=4,
+    )
+
+
+def _replay_digest(result) -> tuple:
+    sha = hashlib.sha256()
+    for o in result.outcomes:
+        m = o.metrics
+        sha.update(
+            f"{o.call.call_id}|{o.option}|{m.rtt_ms!r}|{m.loss_rate!r}|"
+            f"{m.jitter_ms!r}|{o.rating!r}\n".encode()
+        )
+    return (
+        sha.hexdigest()[:16],
+        len(result.outcomes),
+        result.n_dead_assignments,
+        result.n_degraded_assignments,
+        sum(result.outage_flags),
+        result.n_probes,
+    )
+
+
+#: id -> (policy name, overrides, batch_calls, rated + outages?, prober?,
+#: digest).  The digests were captured from the separate serial, batched
+#: and multipath loops that replay()'s one loop replaced; any change to
+#: the loop must still replay them bit for bit.
+_PINNED = {
+    "via-b1": (
+        "via", {}, 1, False, False,
+        ("30c61f352623e372", 1500, 0, 0, 0, 0),
+    ),
+    "via-b64": (
+        "via", {}, 64, False, False,
+        ("dea90412f96ec301", 1500, 0, 0, 0, 0),
+    ),
+    "via-b2000": (
+        "via", {}, 2000, False, False,
+        ("c8bf2b657c67fec5", 1500, 0, 0, 0, 0),
+    ),
+    "via-b1-rated-outages": (
+        "via", {}, 1, True, False,
+        ("ede8d7ca3c0ee572", 1500, 0, 0, 788, 0),
+    ),
+    "via-b64-rated-outages": (
+        "via", {}, 64, True, False,
+        ("28f1d9f742f856a4", 1500, 0, 0, 788, 0),
+    ),
+    "via-b2000-rated-outages": (
+        "via", {}, 2000, True, False,
+        ("3417dc5b079864fd", 1500, 0, 0, 788, 0),
+    ),
+    "via-gated": (
+        "via", {"budget": 0.3, "per_relay_cap": 0.15}, 1, True, False,
+        ("5203a1671dca1537", 1500, 35, 0, 788, 0),
+    ),
+    "default-b64": (
+        "default", {}, 64, True, False,
+        ("5349598d8bb3df26", 1500, 0, 0, 788, 0),
+    ),
+    "oracle": (
+        "oracle", {}, 1, True, False,
+        ("c551501d1db611e0", 1500, 56, 0, 788, 0),
+    ),
+    "cached-via-b16": (
+        "cached-via", {}, 16, True, False,
+        ("237ac37ca6c76976", 1500, 147, 0, 788, 0),
+    ),
+    "sharded-via-b128": (
+        "sharded-via", {}, 128, True, False,
+        ("1b9c6f6669f7fa74", 1500, 0, 0, 788, 0),
+    ),
+    "multipath-ucb-b1": (
+        "multipath-ucb", {}, 1, True, False,
+        ("b579ace6e40f492e", 1500, 0, 5, 788, 0),
+    ),
+    "multipath-ucb-b64": (
+        "multipath-ucb", {}, 64, True, False,
+        ("b579ace6e40f492e", 1500, 0, 5, 788, 0),
+    ),
+    "hybrid-reactive-b1": (
+        "hybrid-reactive", {}, 1, True, False,
+        ("4b5406dad406d615", 1500, 3, 0, 788, 0),
+    ),
+    "hybrid-reactive-b64": (
+        "hybrid-reactive", {}, 64, True, False,
+        ("4b5406dad406d615", 1500, 3, 0, 788, 0),
+    ),
+    "via-prober-b1": (
+        "via", {}, 1, True, True,
+        ("87b243e28a97217c", 1500, 0, 0, 788, 34),
+    ),
+    "via-prober-b64": (
+        "via", {}, 64, True, True,
+        ("87b243e28a97217c", 1500, 0, 0, 788, 34),
+    ),
+}
+
+
+@pytest.mark.parametrize("config_id", list(_PINNED))
+def test_replay_digest_is_pinned(pin_worlds, pin_trace, config_id):
+    """Outcome digest (call id, option, metric reprs, rating) and every
+    ``ReplayResult`` counter, per configuration, against constants."""
+    name, overrides, batch_calls, rated_outages, with_prober, pinned = _PINNED[config_id]
+    world = pin_worlds[rated_outages]
+    policy = build_policy(name, world, seed=5, **overrides)
+    result = replay(
+        world,
+        pin_trace,
+        policy,
+        seed=9,
+        quality=QualityModel(rating_fraction=0.3) if rated_outages else None,
+        prober=ActiveProber(policy, probe_fraction=0.2) if with_prober else None,
+        batch_calls=batch_calls,
+    )
+    assert _replay_digest(result) == pinned

@@ -497,14 +497,14 @@ class TestPolicyCheckpoint:
 
 class TestControllerSnapshot:
     def test_crash_restart_restores_learned_state(self, tmp_path):
-        snapshot = tmp_path / "controller.json"
+        store_dir = tmp_path / "store"
         config = ViaConfig(seed=2, epsilon=0.0, min_direct_samples=2,
                            use_tomography=False)
         good, bad = metrics(60.0), metrics(400.0)
 
         async def scenario():
             # --- Life before the crash: learn, then checkpoint. ---
-            async with ViaController(config, snapshot_path=snapshot) as controller:
+            async with ViaController(config, store=store_dir) as controller:
                 async with AgentClient(
                     0, "US", "127.0.0.1", controller.port
                 ) as client:
@@ -513,10 +513,10 @@ class TestControllerSnapshot:
                         await client.report_measurement(1, OPTIONS[1], bad, 0.1 * i)
                     pre_crash = await client.request_assignment(1, OPTIONS, 24.1)
                 pre_measurements = controller.n_measurements
-                controller.save_snapshot()
+                controller.save_store_snapshot()
 
-            # --- Restart: a fresh controller auto-loads the snapshot. ---
-            async with ViaController(config, snapshot_path=snapshot) as revived:
+            # --- Restart: a fresh controller recovers from the store. ---
+            async with ViaController(config, store=store_dir) as revived:
                 assert revived.n_measurements == pre_measurements
                 stat = revived.policy.history.stats((0, 1), OPTIONS[0], 0)
                 assert stat is not None and stat.count == 6
@@ -529,13 +529,14 @@ class TestControllerSnapshot:
         run(scenario())
 
     def test_corrupt_snapshot_does_not_prevent_start(self, tmp_path):
-        snapshot = tmp_path / "corrupt.json"
-        snapshot.write_text("{not json", encoding="utf-8")
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        (store_dir / "snapshot.json").write_text("{not json", encoding="utf-8")
 
         async def scenario():
             # A crash mid-write must not brick the restart: the controller
             # logs and starts fresh instead of raising.
-            async with ViaController(snapshot_path=snapshot) as controller:
+            async with ViaController(store=store_dir) as controller:
                 assert controller.n_measurements == 0
                 async with AgentClient(0, "US", "127.0.0.1", controller.port) as client:
                     assert await client.request_assignment(1, OPTIONS, 0.1) in OPTIONS
@@ -543,9 +544,10 @@ class TestControllerSnapshot:
         run(scenario())
 
     def test_snapshot_requires_path(self):
+        # No store, no place to write: an explicit error, not a no-op.
         controller = ViaController()
         with pytest.raises(ValueError):
-            controller.save_snapshot()
+            controller.save_store_snapshot()
 
     def test_unrecognised_snapshot_format_rejected(self):
         controller = ViaController()

@@ -319,63 +319,53 @@ class TestRestartThenCrash:
 
 
 class TestSnapshotPathRestoreOutcomes:
-    """Satellite: the legacy snapshot_path auto-restore is observable."""
+    """Satellite: the startup restore from ``Store.snapshot_path`` is
+    observable, one counted outcome per start."""
 
-    def _controller(self, path) -> ViaController:
-        return ViaController(ViaConfig(seed=1), snapshot_path=path)
+    def _controller(self, store_dir) -> ViaController:
+        return ViaController(ViaConfig(seed=1), store=store_dir)
 
-    def _outcome(self, controller, outcome) -> float:
-        return controller.registry.get(
-            "via_controller_snapshot_restores_total"
-        ).value_for(outcome=outcome)
+    def _start_outcomes(self, store_dir) -> dict[str, float]:
+        """Start and stop a controller on ``store_dir``; its counter."""
+        controller = self._controller(store_dir)
+
+        async def run():
+            async with controller:
+                pass
+
+        asyncio.run(run())
+        restores = controller.registry.get("via_controller_snapshot_restores_total")
+        return {o: restores.value_for(outcome=o) for o in ("missing", "corrupt", "ok")}
 
     def test_missing(self, tmp_path):
-        controller = self._controller(tmp_path / "none.json")
-
-        async def run():
-            async with controller:
-                pass
-
-        asyncio.run(run())
-        assert self._outcome(controller, "missing") == 1
+        assert self._start_outcomes(tmp_path / "store") == {
+            "missing": 1, "corrupt": 0, "ok": 0,
+        }
 
     def test_corrupt(self, tmp_path):
-        path = tmp_path / "snap.json"
-        path.write_text("{ nope")
-        controller = self._controller(path)
-
-        async def run():
-            async with controller:
-                pass
-
-        asyncio.run(run())
-        assert self._outcome(controller, "corrupt") == 1
-        assert self._outcome(controller, "ok") == 0
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        (store_dir / "snapshot.json").write_text("{ nope")
+        assert self._start_outcomes(store_dir) == {
+            "missing": 0, "corrupt": 1, "ok": 0,
+        }
 
     def test_ok(self, tmp_path):
-        path = tmp_path / "snap.json"
-
         async def write_run():
-            async with self._controller(None) as controller:
+            async with self._controller(tmp_path / "store") as controller:
                 drive(controller, 5)
-                controller.save_snapshot(path)
+                controller.save_store_snapshot()
 
         asyncio.run(write_run())
-
-        controller = self._controller(path)
-
-        async def run():
-            async with controller:
-                pass
-
-        asyncio.run(run())
-        assert self._outcome(controller, "ok") == 1
+        assert self._start_outcomes(tmp_path / "store") == {
+            "missing": 0, "corrupt": 0, "ok": 1,
+        }
 
     def test_save_snapshot_leaves_no_tmp_litter(self, tmp_path):
-        async def run():
-            async with self._controller(None) as controller:
-                drive(controller, 3)
-                controller.save_snapshot(tmp_path / "snap.json")
-
-        asyncio.run(run())
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["snap.json"]
+        controller = self._controller(tmp_path / "store")
+        drive(controller, 3)
+        controller.save_store_snapshot()
+        controller.store.close()
+        names = sorted(p.name for p in (tmp_path / "store").iterdir())
+        assert "snapshot.json" in names
+        assert not [n for n in names if n.endswith(".tmp")], names

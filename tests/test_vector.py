@@ -31,8 +31,7 @@ from repro.netmodel.metrics import PathMetrics
 from repro.netmodel.options import DIRECT, RelayOption
 from repro.obs.metrics import MetricsRegistry
 from repro.simulation.microbench import MicrobenchConfig, _inter_relay, _make_stream
-from repro.simulation.replay import ReplayResult, _replay_batched, replay
-from repro.telephony.quality import QualityModel
+from repro.simulation.replay import replay
 from repro.verify.differential import run_differential
 
 pytestmark = pytest.mark.vector
@@ -307,28 +306,6 @@ def _outcome_tuples(result):
     return [
         (o.call.call_id, o.option, o.metrics, o.rating) for o in result.outcomes
     ]
-
-
-def test_batched_replay_chunk_of_one_is_serial(small_world, small_trace):
-    """_replay_batched with batch_calls=1 == the serial loop bit for bit
-    (same options, metrics, ratings, outage flags)."""
-    quality = QualityModel(rating_fraction=0.4)
-    serial = replay(
-        small_world, small_trace, _policy(ViaConfig(seed=5)), seed=5, quality=quality
-    )
-    policy = _policy(ViaConfig(seed=5))
-    batched = _replay_batched(
-        small_world,
-        small_trace,
-        policy,
-        np.random.default_rng(5),
-        ReplayResult(policy_name=policy.name),
-        quality=quality,
-        batch_calls=1,
-    )
-    assert _outcome_tuples(batched) == _outcome_tuples(serial)
-    assert batched.outage_flags == serial.outage_flags
-    assert batched.n_dead_assignments == serial.n_dead_assignments
 
 
 def test_batched_replay_covers_trace_and_policies_without_batch_api(
