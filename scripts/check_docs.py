@@ -16,7 +16,11 @@ the docs cannot silently rot as the code moves:
 * pytest node ids — ``tests/test_x.py::test_name`` must name a test
   function that exists in that file;
 * make targets — a backticked ``make <target>`` must name a rule (or
-  ``.PHONY`` entry) defined in the repo Makefile.
+  ``.PHONY`` entry) defined in the repo Makefile;
+* metric series — every ``via_*`` series a ``counter``/``gauge``/
+  ``histogram`` call under ``src/`` registers by string literal must
+  appear in one of the catalogue pages (:data:`SERIES_DOCS`), and every
+  ``via_*`` series those pages' tables list must be registered.
 
 Exit status 0 when every reference resolves; 1 otherwise, listing each
 dangling reference with its file and line.
@@ -26,6 +30,7 @@ dangling reference with its file and line.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -43,6 +48,10 @@ DOC_FILES = (
     "DESIGN.md",
     "EXPERIMENTS.md",
 )
+
+
+#: The pages that together are the metric catalogue.
+SERIES_DOCS = ("docs/observability.md", "docs/persistence.md")
 
 
 def doc_files() -> list[str]:
@@ -67,6 +76,10 @@ NODE_RE = re.compile(r"^([\w./-]+\.py)::(\w+)$")
 LINK_RE = re.compile(r"\]\(([^)#\s]+)(?:#[\w-]*)?\)")
 #: ``make <target>`` invocations inside backticks.
 MAKE_RE = re.compile(r"^make\s+([A-Za-z][\w-]*)")
+#: A metric series name.
+SERIES_RE = re.compile(r"\bvia_[a-z0-9_]+\b")
+#: The series a catalogue table row documents: first cell, backticked.
+SERIES_ROW_RE = re.compile(r"^\|\s*`(via_[a-z0-9_]+)")
 
 
 def _make_targets() -> set[str]:
@@ -164,6 +177,44 @@ def check_file(
     return problems
 
 
+def registered_series() -> dict[str, str]:
+    """Every ``via_*`` series registered by literal name under ``src/``,
+    mapped to the ``file:line`` of (one of) its registration call(s)."""
+    found: dict[str, str] = {}
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            match node:
+                case ast.Call(
+                    func=ast.Attribute(attr="counter" | "gauge" | "histogram"),
+                    args=[ast.Constant(value=str(name)), *_],
+                ) if name.startswith("via_"):
+                    found.setdefault(name, f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
+    return found
+
+
+def check_series() -> list[str]:
+    """Registered series and the catalogue tables must name the same set."""
+    registered = registered_series()
+    mentioned: set[str] = set()
+    problems: list[str] = []
+    for name in SERIES_DOCS:
+        lines = (REPO_ROOT / name).read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, 1):
+            mentioned.update(SERIES_RE.findall(line))
+            row = SERIES_ROW_RE.match(line)
+            if row and row.group(1) not in registered:
+                problems.append(
+                    f"{name}:{lineno}: catalogue lists `{row.group(1)}`, "
+                    "which nothing under src/ registers"
+                )
+    problems.extend(
+        f"{where}: series `{series}` is in no catalogue page ({', '.join(SERIES_DOCS)})"
+        for series, where in sorted(registered.items())
+        if series not in mentioned
+    )
+    return problems
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     classes = _class_index()
@@ -177,6 +228,7 @@ def main() -> int:
             continue
         n_checked += 1
         problems.extend(check_file(path, classes, make_targets))
+    problems.extend(check_series())
     if problems:
         print(f"docs-check: {len(problems)} dangling reference(s):")
         for problem in problems:

@@ -98,13 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
     store.add_argument(
         "action",
         choices=("inspect", "verify", "compact"),
-        help="inspect: summarise segments/snapshot/archive; "
+        help="inspect: summarise segments and snapshot; "
              "verify: scan for corruption (exit 1 if any); "
-             "compact: fold snapshot-covered segments into the archive",
+             "compact: delete the segments the snapshot covers",
     )
     store.add_argument("dir", help="store root directory (the controller's store_dir)")
-    store.add_argument("--retention-windows", type=int, default=8,
-                       help="archive windows kept when compacting")
 
     verify = sub.add_parser(
         "verify", help="run the conformance verification plane"
@@ -333,12 +331,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.store import (
-        Store,
-        StoreConfig,
-        read_segment,
-        read_wal,
-    )
+    from repro.store import Store, read_segment, read_wal
 
     root = Path(args.dir)
     if not root.is_dir():
@@ -346,10 +339,9 @@ def _cmd_store(args: argparse.Namespace) -> int:
         return 2
     wal_dir = root / "wal"
     snapshot_file = root / "snapshot.json"
-    compacted_path = root / "compacted.json"
 
     if args.action == "compact":
-        store = Store(root, StoreConfig(retention_windows=args.retention_windows))
+        store = Store(root)
         try:
             result = store.compact()
         finally:
@@ -357,11 +349,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
         print(format_table(
             ["statistic", "value"],
             [
-                ["segments folded", result.n_segments],
-                ["measurements archived", result.n_measurements],
-                ["non-measurement records", result.n_skipped],
-                ["corrupt records", result.n_corrupt],
-                ["windows pruned", result.n_windows_pruned],
+                ["segments deleted", result.n_segments],
                 ["bytes reclaimed", result.bytes_reclaimed],
             ],
             title=f"Compaction of {root}",
@@ -385,20 +373,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
         except (ValueError, KeyError, TypeError, json.JSONDecodeError):
             snapshot_state = "corrupt"
 
-    archive_state = "missing"
-    archive_calls = 0
-    if compacted_path.exists():
-        try:
-            from repro.store import COMPACTED_FORMAT
-
-            payload = json.loads(compacted_path.read_text(encoding="utf-8"))
-            if payload.get("format") != COMPACTED_FORMAT:
-                raise ValueError(payload.get("format"))
-            archive_calls = int(payload.get("n_calls", 0))
-            archive_state = "ok"
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError):
-            archive_state = "corrupt"
-
     if args.action == "inspect":
         rows = []
         for path in segment_paths(wal_dir) if wal_dir.is_dir() else []:
@@ -421,10 +395,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
             print(f"no WAL segments under {wal_dir}")
         print(format_table(
             ["statistic", "value"],
-            [
-                ["snapshot", f"{snapshot_state} (covers seq {snapshot_seq})"],
-                ["compacted archive", f"{archive_state} ({archive_calls} calls)"],
-            ],
+            [["snapshot", f"{snapshot_state} (covers seq {snapshot_seq})"]],
         ))
         return 0
 
@@ -442,7 +413,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
         n_corrupt > 0
         or n_torn > 0
         or snapshot_state == "corrupt"
-        or archive_state == "corrupt"
         # A seq gap below the snapshot horizon is fine (compacted away);
         # one above it means records recovery needs are gone.
         or any(s > snapshot_seq for s in missing)
@@ -455,7 +425,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
             ["torn segments", n_torn],
             ["seq gaps", gaps],
             ["snapshot", snapshot_state],
-            ["compacted archive", archive_state],
         ],
         title=f"Verification of {root}: {'DAMAGED' if damaged else 'clean'}",
     ))

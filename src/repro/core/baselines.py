@@ -176,16 +176,9 @@ def make_via(
     granularity: str = "as",
     refresh_hours: float = 24.0,
     seed: int = 42,
-    cls: type[ViaPolicy] = ViaPolicy,
-    name: str | None = None,
     **overrides,
 ) -> ViaPolicy:
-    """The full VIA policy of Algorithm 1 (dynamic top-k + modified UCB1).
-
-    ``cls`` swaps the concrete policy class (the registry's ``via-vector``
-    entry passes :class:`~repro.core.policy.VectorizedViaPolicy`); ``name``
-    overrides the default ``via[<metric>]`` display name.
-    """
+    """The full VIA policy of Algorithm 1 (dynamic top-k + modified UCB1)."""
     config = via_config(
         metric,
         budget=budget,
@@ -195,7 +188,7 @@ def make_via(
         seed=seed,
         **overrides,
     )
-    return cls(config, inter_relay=inter_relay, name=name or f"via[{metric}]")
+    return ViaPolicy(config, inter_relay=inter_relay, name=f"via[{metric}]")
 
 
 def make_strawman_prediction(

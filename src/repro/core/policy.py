@@ -50,7 +50,6 @@ __all__ = [
     "SelectionPolicy",
     "ViaConfig",
     "ViaPolicy",
-    "VectorizedViaPolicy",
     "make_policy",
 ]
 
@@ -975,24 +974,6 @@ class ViaPolicy:
         if self._budget_gate is None:
             return None
         return self._budget_gate.relayed_fraction
-
-
-class VectorizedViaPolicy(ViaPolicy):
-    """A :class:`ViaPolicy` whose scalar calls route through the vector path.
-
-    ``assign``/``observe`` become batches of one, so every per-call code
-    path runs the columnar implementation.  This exists for conformance:
-    :func:`repro.verify.differential.run_differential` swaps it in as the
-    production candidate to prove the vector machinery bit-identical to
-    the scalar oracle -- same choices, same RNG draw order, same learned
-    state -- across randomized configurations and call streams.
-    """
-
-    def assign(self, call: Call, options: list[RelayOption]) -> RelayOption:
-        return self.assign_many([call], [options])[0]
-
-    def observe(self, call: Call, option: RelayOption, metrics: PathMetrics) -> None:
-        self.observe_many([call], [option], [metrics])
 
 
 def make_policy(

@@ -59,7 +59,6 @@ from repro.core.policy import (
     SelectionPolicy,
     ViaConfig,
     ViaPolicy,
-    VectorizedViaPolicy,
 )
 from repro.core.sharding import ShardedPolicy
 from repro.core.tomography import InterRelayLookup
@@ -355,26 +354,6 @@ def _build_oracle(world, *, metric: str, seed: int, **overrides):
 def _build_via(world, *, metric: str, seed: int, **overrides):
     return make_via(
         metric, inter_relay=world_inter_relay(world), seed=seed, **overrides
-    )
-
-
-@register(
-    "via-vector",
-    description="ViaPolicy with scalar calls routed through the vector hot path.",
-    schema=viaconfig_schema(),
-    supports_batch=True,
-    supports_checkpoint=True,
-    needs_world=True,
-    policy_class=VectorizedViaPolicy,
-)
-def _build_via_vector(world, *, metric: str, seed: int, **overrides):
-    return make_via(
-        metric,
-        inter_relay=world_inter_relay(world),
-        seed=seed,
-        cls=VectorizedViaPolicy,
-        name=f"via-vector[{metric}]",
-        **overrides,
     )
 
 

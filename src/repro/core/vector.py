@@ -14,11 +14,11 @@ while staying **bit-identical** to the scalar path:
   blocks while consuming the underlying PCG64 bitstream in **exactly** the
   order the scalar loop would (coin, coin, ..., exploration pick, coin,
   ...), by rewinding the generator state past each overshoot.
-* :class:`~repro.core.policy.VectorizedViaPolicy` -- a ``ViaPolicy``
-  whose scalar ``assign``/``observe`` route through batches of one, so the PR 5
-  differential harness (:func:`repro.verify.differential.run_differential`)
-  can prove the vector implementation against the scalar oracle call for
-  call.
+
+:class:`repro.verify.differential.VectorizedViaPolicy` routes scalar
+``assign``/``observe`` through batches of one, so the differential harness
+(:func:`repro.verify.differential.run_differential`) proves the vector
+implementation against the scalar oracle call for call.
 
 The equivalence contract (documented in ``docs/performance.md``):
 ``assign_many(calls, options)`` equals ``[assign(c, o) ...]`` with no

@@ -106,19 +106,30 @@ def decode_option(data: dict[str, Any]) -> RelayOption:
         raise ProtocolError(f"bad option payload: {data!r}") from exc
 
 
-_OPTION_KINDS = tuple(kind.value for kind in OptionKind)
 _FLOAT_MAX = sys.float_info.max
 
 
 def _check_option(data: Any) -> None:
-    # == against a tuple, not a set probe: a hostile kind may be unhashable.
-    if not isinstance(data, dict) or data.get("kind") not in _OPTION_KINDS:
-        raise ProtocolError(f"bad option payload: {data!r:.80}")
+    """Accept exactly the payloads :func:`decode_option` turns into a
+    :class:`RelayOption` whose relay ids are true integers."""
+    if isinstance(data, dict):
+        # == on the kind, not a dict probe: a hostile kind may be unhashable.
+        kind, ingress, egress = data.get("kind"), data.get("ingress"), data.get("egress")
+        if kind == "direct":
+            if ingress is None and egress is None:
+                return
+        # bool is an int subclass and "a" == "a": a relay id is neither.
+        elif type(ingress) is int and type(egress) is int:
+            if (kind == "bounce" and ingress == egress) or (
+                kind == "transit" and ingress != egress
+            ):
+                return
+    raise ProtocolError(f"bad option payload: {data!r:.80}")
 
 
 def check_options(options: Any) -> None:
     """Reject a request's ``options`` unless it is a list of option
-    objects of known kind.
+    objects of known kind with relay ids to match.
 
     ``decode_message`` checks field *names*, not field shapes, so this is
     the server's gate for the one nested field it later indexes into: run
@@ -132,8 +143,9 @@ def check_options(options: Any) -> None:
 
 def check_measurement(message: "MeasurementMessage") -> None:
     """Reject a measurement unless its option is an option object of
-    known kind, its ids are integers and its time and metrics are finite
-    real numbers.
+    known kind with relay ids to match, its ids are integers and its time
+    and metrics are finite real numbers in the ranges :class:`Call` and
+    :class:`PathMetrics` accept.
 
     The measurement twin of :func:`check_options`: run before the message
     is counted, WAL-logged or shown to the policy, so a poison record can
@@ -150,6 +162,12 @@ def check_measurement(message: "MeasurementMessage") -> None:
         # OverflowError) for an integer too large to become a float.
         if type(value) not in (int, float) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
             raise ProtocolError(f"{name} must be a finite number: {value!r:.80}")
+    if message.t_hours < 0:
+        raise ProtocolError(f"t_hours must be >= 0: {message.t_hours!r:.80}")
+    try:
+        message.metrics()  # PathMetrics owns the metric ranges
+    except ValueError as exc:
+        raise ProtocolError(f"bad measurement: {exc}") from exc
 
 
 @dataclass(frozen=True, slots=True)

@@ -68,8 +68,8 @@ class TestbedConfig:
     seed: int = 99
     #: Registry name of the controller's policy; must resolve to a
     #: :class:`~repro.core.policy.ViaPolicy` variant (``via``,
-    #: ``via-vector``, ...) because the wire protocol drives the scalar
-    #: assign/observe interface with checkpointing.
+    #: ``strawman-prediction``, ...) because the wire protocol drives the
+    #: scalar assign/observe interface with checkpointing.
     policy: str = "via"
     sites: tuple[str, ...] = PAPER_SITES
     #: Chaos mode: a fault plan injected into the controller and the world
@@ -117,7 +117,7 @@ def _testbed_policy_class(name: str) -> type:
         raise ValueError(
             f"testbed policy {name!r} is not a ViaPolicy variant; the "
             f"controller needs the scalar assign/observe + checkpoint "
-            f"interface (try 'via' or 'via-vector')"
+            f"interface (try 'via')"
         )
     return entry.policy_class
 

@@ -516,9 +516,7 @@ class _SoakRunner:
         store = controller.store
         compaction: threading.Thread | None = None
         if raced:
-            compaction = threading.Thread(
-                target=self._compact_quietly, args=(store,), daemon=True
-            )
+            compaction = threading.Thread(target=store.compact, daemon=True)
             compaction.start()
         # The crash: drop the raw WAL handle -- no seal, no snapshot.
         wal = store.wal
@@ -571,15 +569,6 @@ class _SoakRunner:
             self.report.n_raced_restores += 1
         self._obs_restores.labels(kind="raced" if raced else "clean").inc()
         return revived
-
-    @staticmethod
-    def _compact_quietly(store: Store) -> None:
-        try:
-            store.compact()
-        except FileNotFoundError:
-            # The dying WAL object raced us to a segment; the recovered
-            # store's own compactions pick the fold back up.
-            pass
 
     # ------------------------------------------------------------------
     # Sharded ring

@@ -1,27 +1,31 @@
-"""Durable storage plane: WAL, segment compaction, snapshot + replay recovery.
+"""Durable storage plane: WAL, snapshot + replay recovery, log truncation.
 
 The controller's learned state must survive crashes without ever
 outgrowing disk (the paper's controller learns from *every* call, §4).
-This package provides that as three cooperating layers:
+This package provides that as two cooperating layers:
 
 * :mod:`repro.store.wal` -- an append-only write-ahead log of
   measurement/assignment records (length + CRC32 framing, segment
   rotation, ``always``/``batch``/``off`` fsync policies, a damage-
   tolerant reader);
-* :mod:`repro.store.compaction` -- folds sealed segments into
-  :class:`~repro.core.history.CallHistory` window aggregates with a
-  retention horizon, bounding disk by windows instead of call volume;
 * :mod:`repro.store.recovery` -- restores a controller as snapshot +
   WAL-tail replay, reproducing exactly the in-memory state an
   uninterrupted controller would hold.
 
 :class:`~repro.store.facade.Store` ties them together under one
-directory; ``python -m repro store inspect|verify|compact <dir>`` is the
-operator tooling.
+directory.  Compaction is deletion: every snapshot (and
+``Store.compact()``) removes the sealed segments it covers, so disk is
+bounded by the records since the last snapshot.  ``python -m repro store
+inspect|verify|compact <dir>`` is the operator tooling.
 """
 
-from repro.store.compaction import COMPACTED_FORMAT, CompactionResult, Compactor
-from repro.store.facade import SNAPSHOT_FORMAT, SnapshotSource, Store, StoreConfig
+from repro.store.facade import (
+    SNAPSHOT_FORMAT,
+    CompactionResult,
+    SnapshotSource,
+    Store,
+    StoreConfig,
+)
 from repro.store.io import atomic_write_bytes, atomic_write_json, fsync_dir, fsync_file
 from repro.store.recovery import RecoveryReport, RecoveryTarget, recover
 from repro.store.wal import (
@@ -52,9 +56,7 @@ __all__ = [
     "SEGMENT_MAGIC",
     "MAX_RECORD_BYTES",
     "FSYNC_POLICIES",
-    "Compactor",
     "CompactionResult",
-    "COMPACTED_FORMAT",
     "recover",
     "RecoveryReport",
     "RecoveryTarget",

@@ -5,15 +5,14 @@ One :class:`Store` owns one on-disk layout::
     <root>/
       wal/wal-00000001.seg ...   append-only record log (repro.store.wal)
       snapshot.json              latest full snapshot + the seq it covers
-      compacted.json             long-horizon window aggregates (compaction)
 
 The write path is *log-before-act*: the controller appends a record for
 every state-changing message before the policy sees it, so a crashed
 controller is exactly reconstructible as snapshot + WAL-tail replay
-(:mod:`repro.store.recovery`).  Snapshots fold the log down: taking one
-rotates the active segment, compacts every now-covered sealed segment
-into the window archive, and deletes them -- after which disk holds one
-snapshot, one bounded archive, and only the records since.
+(:mod:`repro.store.recovery`).  Snapshots cut the log down: taking one
+rotates the active segment and deletes, unread, every sealed segment it
+now covers -- after which disk holds one snapshot and only the records
+since.
 """
 
 from __future__ import annotations
@@ -23,13 +22,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Protocol
 
-from repro.core.keys import Granularity
 from repro.obs.metrics import MetricsRegistry
-from repro.store.compaction import CompactionResult, Compactor
 from repro.store.io import atomic_write_json
 from repro.store.wal import FSYNC_POLICIES, WalReadResult, WriteAheadLog, read_wal
 
-__all__ = ["SNAPSHOT_FORMAT", "StoreConfig", "Store", "SnapshotSource"]
+__all__ = [
+    "SNAPSHOT_FORMAT",
+    "StoreConfig",
+    "Store",
+    "SnapshotSource",
+    "CompactionResult",
+]
 
 SNAPSHOT_FORMAT = "via-store-snapshot-v1"
 
@@ -41,8 +44,16 @@ class SnapshotSource(Protocol):
 
 
 @dataclass(frozen=True, slots=True)
+class CompactionResult:
+    """What one compaction pass reclaimed."""
+
+    n_segments: int
+    bytes_reclaimed: int
+
+
+@dataclass(frozen=True, slots=True)
 class StoreConfig:
-    """Durability and retention knobs for one :class:`Store`."""
+    """Durability knobs for one :class:`Store`."""
 
     #: WAL fsync policy: ``always`` / ``batch`` / ``off``.
     fsync: str = "batch"
@@ -56,12 +67,6 @@ class StoreConfig:
     max_segment_age_s: float | None = None
     #: Auto-snapshot after this many appended records (0 = only on stop).
     snapshot_every_records: int = 0
-    #: Window width of the compacted archive (match the policy's T).
-    window_hours: float = 24.0
-    #: Keying granularity of the compacted archive.
-    granularity: Granularity = "as"
-    #: Windows the compacted archive retains (older ones are pruned).
-    retention_windows: int = 8
 
     def __post_init__(self) -> None:
         if self.fsync not in FSYNC_POLICIES:
@@ -70,14 +75,10 @@ class StoreConfig:
             )
         if self.snapshot_every_records < 0:
             raise ValueError("snapshot_every_records must be >= 0")
-        if self.window_hours <= 0.0:
-            raise ValueError("window_hours must be > 0")
-        if self.retention_windows < 1:
-            raise ValueError("retention_windows must be >= 1")
 
 
 class Store:
-    """Write-ahead log + snapshot + compacted archive under one root."""
+    """Write-ahead log + snapshot under one root."""
 
     def __init__(
         self,
@@ -98,19 +99,16 @@ class Store:
             max_segment_age_s=self.config.max_segment_age_s,
             registry=self.registry,
         )
-        self.compactor = Compactor(
-            self.root,
-            window_hours=self.config.window_hours,
-            granularity=self.config.granularity,
-            retention_windows=self.config.retention_windows,
-            registry=self.registry,
-        )
         self._obs_snapshots = self.registry.counter(
             "via_store_snapshots_total",
             "Snapshots written into the store.",
         )
+        self._obs_compactions = self.registry.counter(
+            "via_store_compactions_total",
+            "Compaction passes that deleted at least one segment.",
+        )
         # Seq numbering must survive compaction: after a clean shutdown
-        # every segment is folded away, so a reopened WAL's directory scan
+        # every segment is deleted, so a reopened WAL's directory scan
         # finds nothing and would restart at 0 -- while the snapshot still
         # covers a higher seq, hiding every new record from recovery.
         self.wal.last_seq = max(self.wal.last_seq, self.snapshot_seq())
@@ -198,11 +196,10 @@ class Store:
         )
 
     def snapshot(self, source: SnapshotSource) -> Path:
-        """Capture ``source`` and fold the now-covered log down.
+        """Capture ``source`` and delete the now-covered log.
 
         Writes the snapshot atomically (fsynced), rotates the active
-        segment, compacts every sealed segment the snapshot covers into
-        the window archive, and deletes them.
+        segment, and deletes every sealed segment the snapshot covers.
         """
         last_seq = self.wal.last_seq
         atomic_write_json(
@@ -215,17 +212,27 @@ class Store:
         )
         self._obs_snapshots.inc()
         self.wal.rotate()
-        self.compactor.compact(self.wal, cover_seq=last_seq)
+        self._drop_covered(last_seq)
         self._records_since_snapshot = self.wal.last_seq - last_seq
         return self.snapshot_path
 
     def compact(self) -> CompactionResult:
-        """Standalone compaction of snapshot-covered sealed segments.
+        """Delete the sealed segments the latest snapshot covers.
 
         Without a snapshot nothing is eligible: every record would still
         be needed for exact recovery.
         """
-        return self.compactor.compact(self.wal, cover_seq=self.snapshot_seq())
+        return self._drop_covered(self.snapshot_seq())
+
+    def _drop_covered(self, cover_seq: int) -> CompactionResult:
+        # Only segments whose every record the snapshot covers: recovery
+        # replays the rest.  They are deleted unread -- nothing needs them.
+        covered = [s for s in self.wal.sealed_segments() if s.last_seq <= cover_seq]
+        if not covered:
+            return CompactionResult(0, 0)
+        reclaimed = self.wal.drop_segments(covered)
+        self._obs_compactions.inc()
+        return CompactionResult(len(covered), reclaimed)
 
     # ------------------------------------------------------------------
     # Reading (recovery and tooling)

@@ -179,7 +179,7 @@ def read_wal(directory: str | Path, *, after_seq: int = 0) -> WalReadResult:
     """Read every segment in order, keeping records with ``seq > after_seq``.
 
     A segment that vanishes between the directory listing and the read
-    (a concurrent compaction folded and deleted it) is skipped, not an
+    (a concurrent compaction deleted it) is skipped, not an
     error: compaction only ever deletes snapshot-covered segments, whose
     records a reader filtering on ``after_seq`` would discard anyway.
     """
@@ -293,7 +293,7 @@ class WriteAheadLog:
             except FileNotFoundError:
                 # Deleted under us by a compaction still finishing against
                 # the previous (crashed) log instance: its records are
-                # archive-covered, so the scan just moves on.
+                # snapshot-covered, so the scan just moves on.
                 continue
             seqs = [r["seq"] for r in seg.records]
             info = SegmentInfo(
@@ -440,8 +440,7 @@ class WriteAheadLog:
         return list(self._sealed)
 
     def drop_segments(self, infos: Iterable[SegmentInfo]) -> int:
-        """Delete sealed segments (after compaction folded them); returns
-        the bytes reclaimed."""
+        """Delete sealed segments; returns the bytes reclaimed."""
         doomed = list(infos)
         reclaimed = 0
         for info in doomed:

@@ -49,6 +49,7 @@ __all__ = [
     "DifferentialReport",
     "DivergenceError",
     "OracleViaPolicy",
+    "VectorizedViaPolicy",
     "random_config",
     "run_differential",
 ]
@@ -362,6 +363,22 @@ def _pair_options(rng: np.random.Generator, n_relays: int) -> list[RelayOption]:
     return options
 
 
+class VectorizedViaPolicy(ViaPolicy):
+    """The vector candidate: scalar calls become batches of one.
+
+    Passed as ``production_factory`` so every per-call step of a stream
+    runs the columnar ``assign_many``/``observe_many`` implementation and
+    is held to the same oracle as the scalar path -- same choices, same
+    RNG draw order, same learned state.
+    """
+
+    def assign(self, call: Call, options: list[RelayOption]) -> RelayOption:
+        return self.assign_many([call], [options])[0]
+
+    def observe(self, call: Call, option: RelayOption, metrics: PathMetrics) -> None:
+        self.observe_many([call], [option], [metrics])
+
+
 def run_differential(
     config: ViaConfig | None = None,
     *,
@@ -378,19 +395,9 @@ def run_differential(
     :class:`DivergenceError` on the first disagreement; otherwise returns
     the :class:`DifferentialReport`.  ``production_factory`` exists so the
     harness can prove it *detects* divergence (tests swap in a policy with
-    a planted bug); it also accepts a registry policy name (e.g.
-    ``"via-vector"``), resolved to that entry's concrete policy class.
+    a planted bug) and can audit the vector path
+    (:class:`VectorizedViaPolicy`).
     """
-    if isinstance(production_factory, str):
-        from repro.core.registry import REGISTRY
-
-        entry = REGISTRY.get(production_factory)
-        if entry.policy_class is None or not issubclass(entry.policy_class, ViaPolicy):
-            raise ValueError(
-                f"registry policy {production_factory!r} is not a ViaPolicy "
-                "variant; the differential harness audits Algorithm 1 only"
-            )
-        production_factory = entry.policy_class
     stream_rng = np.random.default_rng(seed)
     if config is None:
         config = random_config(stream_rng)

@@ -28,9 +28,14 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core.policy import ViaPolicy
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.verify.crashpoints import crash_point_sweep
-from repro.verify.differential import DivergenceError, run_differential
+from repro.verify.differential import (
+    DivergenceError,
+    VectorizedViaPolicy,
+    run_differential,
+)
 
 __all__ = ["VerifyBudget", "VerifyReport", "run_verify"]
 
@@ -171,9 +176,8 @@ def run_verify(
         # proves two candidates against the algorithm oracle: the scalar
         # ViaPolicy and the vectorised hot path routed through batches of
         # one -- the scalar-oracle equivalence guarantee, exercised end to
-        # end (docs/performance.md).  Candidates are registry policy names
-        # so the harness audits exactly what the registry hands out.
-        candidates = (("scalar", None), ("vector", "via-vector"))
+        # end (docs/performance.md).
+        candidates = (("scalar", ViaPolicy), ("vector", VectorizedViaPolicy))
         n_steps = 0
         n_streams = 0
         leg_failures = 0
@@ -183,10 +187,11 @@ def run_verify(
             stream_seed = budget.seed + i
             n_streams += 1
             for label, factory in candidates:
-                kwargs = {} if factory is None else {"production_factory": factory}
                 try:
                     stream = run_differential(
-                        n_steps=budget.differential_steps, seed=stream_seed, **kwargs
+                        n_steps=budget.differential_steps,
+                        seed=stream_seed,
+                        production_factory=factory,
                     )
                     n_steps += stream.n_steps
                 except DivergenceError as exc:

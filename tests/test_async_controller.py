@@ -63,22 +63,39 @@ async def read_json(reader: asyncio.StreamReader) -> dict:
     return json.loads(line)
 
 
+#: Option objects of known kind whose relay ids are not what the kind
+#: takes: unhashable, present on a direct path, or not integers.
+HOSTILE_RELAY_IDS = [
+    {"kind": "bounce", "ingress": [1], "egress": [1]},
+    {"kind": "direct", "ingress": 1},
+    {"kind": "bounce", "ingress": "a", "egress": "a"},
+]
+
 #: ``options`` payloads that survive ``decode_message`` (it checks field
-#: names, not shapes) but are not a list of option objects of known kind.
-HOSTILE_OPTIONS = [[1], 7, "direct", [{"kind": "wormhole"}]]
+#: names, not shapes) but are not a list of option objects of known kind
+#: with relay ids to match.
+HOSTILE_OPTIONS = [
+    [1], 7, "direct", [{"kind": "wormhole"}],
+    [{"kind": "direct"}, HOSTILE_RELAY_IDS[0]],
+    [HOSTILE_RELAY_IDS[1]],
+    [HOSTILE_RELAY_IDS[2], {"kind": "direct"}],
+]
 
 
 #: Measurement fields that survive ``decode_message`` the same way but
-#: are not an option object, an integer id or a finite real number.
+#: are not an option object, an integer id or a finite real number in range.
 HOSTILE_MEASUREMENT_FIELDS = [
     ("option", [1]),
     ("option", {"kind": "wormhole"}),
+    *(("option", option) for option in HOSTILE_RELAY_IDS),
     ("rtt_ms", "abc"),
     ("rtt_ms", float("nan")),
     ("loss_rate", float("inf")),
     ("jitter_ms", None),
     ("t_hours", True),
     ("t_hours", 10**400),
+    ("t_hours", -1.0),
+    ("loss_rate", 1.5),
     ("src_id", 1.5),
     ("dst_id", "7"),
 ]

@@ -8,7 +8,6 @@ Pins the registry's contracts:
   direct factory construction (same replay outcomes, draw for draw);
 * unknown names fail with a did-you-mean listing; unknown config
   overrides fail with the valid-field listing;
-* the differential harness accepts registry-name production factories;
 * the ``repro policies`` CLI lists and details entries (exit-code
   tested like ``repro store``).
 """
@@ -27,7 +26,7 @@ from repro.core.baselines import (
 )
 from repro.core.caching import CachedAssignmentPolicy
 from repro.core.multipath import MultipathBanditPolicy
-from repro.core.policy import ViaPolicy, VectorizedViaPolicy
+from repro.core.policy import ViaPolicy
 from repro.core.registry import (
     REGISTRY,
     UnknownPolicyError,
@@ -38,9 +37,7 @@ from repro.core.registry import (
 from repro.core.sharding import ShardedPolicy
 from repro.simulation import PolicySpec, standard_policies
 from repro.simulation.replay import replay
-from repro.verify import run_differential
 from repro.workload import WorkloadConfig, generate_trace
-from repro.verify.differential import DivergenceError
 
 
 def _outcome_key(result):
@@ -59,16 +56,16 @@ class TestRegistryBasics:
     def test_expected_entries_present(self):
         names = set(policy_names())
         assert {
-            "default", "oracle", "via", "via-vector", "strawman-prediction",
+            "default", "oracle", "via", "strawman-prediction",
             "strawman-exploration", "hybrid-reactive", "cached-via",
             "sharded-via", "multipath-ucb", "multipath-random",
         } <= names
 
     def test_unknown_name_suggests(self):
         with pytest.raises(UnknownPolicyError) as excinfo:
-            build_policy("via-vectr")
+            build_policy("cached-vai")
         assert "did you mean" in str(excinfo.value)
-        assert "via-vector" in excinfo.value.suggestions
+        assert "cached-via" in excinfo.value.suggestions
         # Back-compat: callers that caught ValueError keep working.
         assert isinstance(excinfo.value, ValueError)
 
@@ -212,20 +209,6 @@ class TestReplayConformance:
         assert _outcome_key(run()) == _outcome_key(result)
 
 
-class TestDifferentialRegistryNames:
-    def test_string_factory_resolves(self):
-        report = run_differential(n_steps=60, seed=3, production_factory="via-vector")
-        assert report.n_assigns == 60
-
-    def test_string_factory_rejects_non_via(self):
-        with pytest.raises((ValueError, DivergenceError), match="not a ViaPolicy"):
-            run_differential(n_steps=10, seed=3, production_factory="default")
-
-    def test_string_factory_unknown_name(self):
-        with pytest.raises(UnknownPolicyError):
-            run_differential(n_steps=10, seed=3, production_factory="via-vectr")
-
-
 class TestPoliciesCli:
     def test_listing_exits_zero(self, capsys):
         assert main(["policies"]) == 0
@@ -258,9 +241,9 @@ class TestControllerPolicyField:
         with pytest.raises(ValueError, match="not a ViaPolicy variant"):
             TestbedConfig(policy="multipath-ucb")
 
-    def test_testbed_accepts_vector_variant(self):
+    def test_testbed_accepts_via_variant(self):
         from repro.deployment import TestbedConfig
         from repro.deployment.testbed import _testbed_policy_class
 
-        config = TestbedConfig(policy="via-vector")
-        assert _testbed_policy_class(config.policy) is VectorizedViaPolicy
+        config = TestbedConfig(policy="strawman-prediction")
+        assert _testbed_policy_class(config.policy) is ViaPolicy

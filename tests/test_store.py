@@ -9,16 +9,13 @@ import zlib
 import pytest
 
 from repro.cli import main
-from repro.core.history import CallHistory, history_to_dict, option_to_dict
-from repro.core.keys import PairKeyer
-from repro.netmodel.metrics import PathMetrics
+from repro.core.history import option_to_dict
 from repro.netmodel.options import RelayOption
 from repro.obs.metrics import MetricsRegistry
 from repro.store import (
-    COMPACTED_FORMAT,
     MAX_RECORD_BYTES,
     SEGMENT_MAGIC,
-    Compactor,
+    SNAPSHOT_FORMAT,
     Store,
     StoreConfig,
     WriteAheadLog,
@@ -27,7 +24,6 @@ from repro.store import (
     read_segment,
     read_wal,
 )
-from repro.telephony.call import Call
 
 pytestmark = pytest.mark.store
 
@@ -47,6 +43,16 @@ def measurement_record(i: int, *, src: int = 1, dst: int = 2) -> dict:
         "src_site": "US",
         "dst_site": "GB",
     }
+
+
+def write_snapshot_file(root, *, last_seq: int) -> None:
+    """A snapshot covering ``last_seq`` with every segment left in place:
+    what a crash between the snapshot rename and the segment drop leaves."""
+    (root / "snapshot.json").write_text(json.dumps({
+        "format": SNAPSHOT_FORMAT,
+        "last_seq": last_seq,
+        "controller": {},
+    }))
 
 
 class FakeSource:
@@ -300,131 +306,6 @@ class TestWriteAheadLog:
 
 
 # ----------------------------------------------------------------------
-# Compaction
-# ----------------------------------------------------------------------
-
-
-class TestCompaction:
-    def test_fold_matches_live_history(self, tmp_path):
-        """Archive aggregates equal a CallHistory fed the same calls."""
-        wal = WriteAheadLog(tmp_path / "wal", max_segment_records=5)
-        expected = CallHistory(window_hours=24.0)
-        keyer = PairKeyer("as")
-        for i in range(20):
-            record = measurement_record(i, src=1 + i % 3, dst=10)
-            wal.append(record)
-            call = Call(
-                call_id=0, t_hours=record["t_hours"],
-                src_asn=record["src_id"], dst_asn=record["dst_id"],
-                src_country=record["src_site"], dst_country=record["dst_site"],
-                src_user=record["src_id"], dst_user=record["dst_id"],
-            )
-            view = keyer.view(call)
-            expected.add(
-                view.pair_key,
-                view.normalize(RelayOption.bounce(3)),
-                record["t_hours"],
-                PathMetrics(
-                    rtt_ms=record["rtt_ms"],
-                    loss_rate=record["loss_rate"],
-                    jitter_ms=record["jitter_ms"],
-                ),
-            )
-        wal.rotate()
-
-        compactor = Compactor(tmp_path)
-        result = compactor.compact(wal)
-        wal.close()
-        assert result.n_measurements == 20
-        assert result.n_corrupt == 0
-        assert history_to_dict(compactor.load_history()) == history_to_dict(expected)
-
-    def test_compaction_is_cumulative_across_passes(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal")
-        for i in range(4):
-            wal.append(measurement_record(i))
-        wal.rotate()
-        compactor = Compactor(tmp_path)
-        compactor.compact(wal)
-        for i in range(4, 7):
-            wal.append(measurement_record(i))
-        wal.rotate()
-        result = compactor.compact(wal)
-        wal.close()
-        assert result.n_measurements == 3
-        assert compactor.load_history().total_calls() == 7
-
-    def test_only_cover_seq_segments_folded(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal", max_segment_records=2)
-        for i in range(6):  # sealed: [1,2] [3,4] [5,6]
-            wal.append(measurement_record(i))
-        wal.rotate()
-        compactor = Compactor(tmp_path)
-        result = compactor.compact(wal, cover_seq=4)
-        assert result.n_segments == 2
-        assert result.n_measurements == 4
-        # Uncovered records survive on disk for recovery.
-        remaining = read_wal(tmp_path / "wal")
-        assert [r["seq"] for r in remaining.records] == [5, 6]
-        wal.close()
-
-    def test_retention_prunes_old_windows(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal")
-        for day in range(6):
-            record = measurement_record(0)
-            record["t_hours"] = day * 24.0 + 1.0
-            wal.append(record)
-        wal.rotate()
-        compactor = Compactor(tmp_path, retention_windows=2)
-        result = compactor.compact(wal)
-        wal.close()
-        assert result.n_windows_pruned == 4
-        assert compactor.load_history().windows() == [4, 5]
-
-    def test_non_measurement_records_skipped_not_corrupt(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal")
-        wal.append({"kind": "hello", "client_id": 1, "site": "US"})
-        wal.append({"kind": "request", "src_id": 1, "dst_id": 2, "t_hours": 0.1,
-                    "options": []})
-        wal.append(measurement_record(0))
-        wal.rotate()
-        result = Compactor(tmp_path).compact(wal)
-        wal.close()
-        assert result.n_skipped == 2
-        assert result.n_measurements == 1
-        assert result.n_corrupt == 0
-
-    def test_unparseable_measurement_counted_corrupt(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal")
-        bad = measurement_record(0)
-        bad["option"] = {"kind": "warp-drive"}
-        wal.append(bad)
-        wal.rotate()
-        registry = MetricsRegistry()
-        result = Compactor(tmp_path, registry=registry).compact(wal)
-        wal.close()
-        assert result.n_corrupt == 1
-        errors = registry.get("via_store_read_errors_total")
-        assert errors.value_for(reader="compaction") == 1
-
-    def test_corrupt_archive_raises(self, tmp_path):
-        compactor = Compactor(tmp_path)
-        compactor.compacted_path.write_text('{"format": "something-else"}')
-        with pytest.raises(ValueError):
-            compactor.load_history()
-
-    def test_archive_format_field(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal")
-        wal.append(measurement_record(0))
-        wal.rotate()
-        Compactor(tmp_path).compact(wal)
-        wal.close()
-        payload = json.loads((tmp_path / "compacted.json").read_text())
-        assert payload["format"] == COMPACTED_FORMAT
-        assert payload["n_calls"] == 1
-
-
-# ----------------------------------------------------------------------
 # Store facade
 # ----------------------------------------------------------------------
 
@@ -438,8 +319,6 @@ class TestStoreConfig:
         [
             {"fsync": "never"},
             {"snapshot_every_records": -1},
-            {"window_hours": 0.0},
-            {"retention_windows": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -449,13 +328,17 @@ class TestStoreConfig:
 
 class TestStore:
     def test_layout_under_one_root(self, tmp_path):
-        store = Store(tmp_path / "s")
-        store.log_hello(1, "US")
+        """The whole disk contract: a snapshot, and the log written since."""
+        root = tmp_path / "s"
+        store = Store(root, StoreConfig(max_segment_records=2))
+        for _ in range(5):
+            store.log_hello(1, "US")
         store.snapshot(FakeSource(1))
+        assert sorted(p.name for p in root.iterdir()) == ["snapshot.json", "wal"]
+        assert list((root / "wal").iterdir()) == []
+        store.log_hello(2, "GB")
+        assert list((root / "wal").iterdir()) == [store.wal.active_path]
         store.close()
-        assert (tmp_path / "s" / "wal").is_dir()
-        assert (tmp_path / "s" / "snapshot.json").exists()
-        assert (tmp_path / "s" / "compacted.json").exists()
 
     def test_snapshot_truncates_covered_log(self, tmp_path):
         store = Store(tmp_path, StoreConfig(max_segment_records=4))
@@ -468,7 +351,6 @@ class TestStore:
         store.log_hello(5, "IN")
         tail = store.records_after(store.snapshot_seq())
         assert [r["seq"] for r in tail.records] == [11]
-        assert store.compactor.load_history().total_calls() == 10
         store.close()
 
     def test_snapshot_roundtrip_payload(self, tmp_path):
@@ -526,6 +408,22 @@ class TestStore:
         assert reopened.should_snapshot()
         reopened.close()
 
+    def test_only_covered_segments_are_dropped(self, tmp_path):
+        store = Store(tmp_path, StoreConfig(max_segment_records=2))
+        for _ in range(6):  # sealed: [1,2] [3,4] [5,6]
+            store.log_hello(1, "US")
+        sealed = store.wal.sealed_segments()
+        write_snapshot_file(tmp_path, last_seq=4)
+        result = store.compact()
+        assert result.n_segments == 2
+        assert result.bytes_reclaimed == sealed[0].size_bytes + sealed[1].size_bytes
+        # Uncovered records survive on disk for recovery.
+        assert [r["seq"] for r in read_wal(tmp_path / "wal").records] == [5, 6]
+        assert store.compact().n_segments == 0
+        # Only the pass that deleted something counts.
+        assert store.registry.get("via_store_compactions_total").value == 1
+        store.close()
+
     def test_compact_without_snapshot_is_noop(self, tmp_path):
         store = Store(tmp_path, StoreConfig(max_segment_records=2))
         for i in range(6):
@@ -580,6 +478,14 @@ class TestStoreCli:
         assert main(["store", "verify", str(tmp_path)]) == 0
         assert "clean" in capsys.readouterr().out
 
+    def test_stale_archive_file_is_ignored(self, tmp_path, capsys):
+        """A ``compacted.json`` left by an older version is not store state."""
+        self._build_store(tmp_path)
+        (tmp_path / "compacted.json").write_text("{ not an archive")
+        assert main(["store", "verify", str(tmp_path)]) == 0
+        assert main(["store", "inspect", str(tmp_path)]) == 0
+        assert "compacted" not in capsys.readouterr().out
+
     def test_verify_flags_corruption(self, tmp_path, capsys):
         self._build_store(tmp_path)
         seg = sorted((tmp_path / "wal").glob("wal-*.seg"))[0]
@@ -600,21 +506,16 @@ class TestStoreCli:
             store.log_measurement(1, 2, 0.1 + i * 0.01,
                                   option_to_dict(RelayOption.bounce(3)),
                                   100.0, 0.01, 5.0)
-        # Snapshot but keep segments: bypass the facade's auto-compaction
+        # Snapshot but keep segments: bypass the facade's own segment drop
         # by writing the snapshot file directly, so the CLI has work to do.
-        from repro.store import SNAPSHOT_FORMAT
-
-        (tmp_path / "snapshot.json").write_text(json.dumps({
-            "format": SNAPSHOT_FORMAT,
-            "last_seq": store.wal.last_seq,
-            "controller": {},
-        }))
+        write_snapshot_file(tmp_path, last_seq=store.wal.last_seq)
         store.close()
         assert main(["store", "compact", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "segments folded" in out
-        archive = json.loads((tmp_path / "compacted.json").read_text())
-        assert archive["n_calls"] == 10
+        assert "segments deleted" in out
+        assert list((tmp_path / "wal").iterdir()) == []
+        with pytest.raises(SystemExit):
+            main(["store", "compact", str(tmp_path), "--retention-windows", "2"])
 
     def test_missing_dir_is_usage_error(self, tmp_path, capsys):
         assert main(["store", "inspect", str(tmp_path / "nope")]) == 2

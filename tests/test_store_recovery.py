@@ -24,7 +24,15 @@ from repro.deployment.protocol import (
     encode_option,
 )
 from repro.netmodel.options import RelayOption
-from repro.store import SEGMENT_MAGIC, Store, recover
+from repro.store import (
+    SEGMENT_MAGIC,
+    SNAPSHOT_FORMAT,
+    Store,
+    StoreConfig,
+    atomic_write_json,
+    recover,
+)
+from repro.verify import controller_fingerprint
 
 import pytest
 
@@ -136,6 +144,40 @@ class TestCrashRecoveryEquivalence:
         # Tail only: 40 rounds x (measurement + request) + the re-hellos.
         assert report.n_replayed == 40 * 2 + len(SITES)
         assert_equivalent(recovered, twin)
+
+    def test_crash_between_snapshot_and_segment_drop(self, tmp_path):
+        """The snapshot rename landed, the covered segments were never
+        deleted: recovery must skip them and the next compaction must
+        reclaim them."""
+        config = StoreConfig(max_segment_records=50)
+        live = make_controller(Store(tmp_path / "store", config))
+        drive(live, 60)
+        atomic_write_json(live.store.snapshot_path, {
+            "format": SNAPSHOT_FORMAT,
+            "last_seq": live.store.wal.last_seq,
+            "controller": live.snapshot_dict(),
+        })  # ... and the process dies here.
+        n_leftover = len(list((tmp_path / "store" / "wal").iterdir()))
+        assert n_leftover > 1
+
+        twin = make_controller(tmp_path / "twin")
+        drive(twin, 60)
+        twin.save_store_snapshot()  # uninterrupted: snapshot *and* drop
+
+        recovered = make_controller()
+        store = Store(tmp_path / "store", config)
+        report = recover(store, recovered)
+        assert report.snapshot_outcome == "ok"
+        assert report.n_replayed == 0
+        assert report.clean
+        assert controller_fingerprint(recovered) == controller_fingerprint(twin)
+
+        result = store.compact()
+        assert result.n_segments == n_leftover
+        assert list((tmp_path / "store" / "wal").iterdir()) == []
+        # Numbering still resumes past the snapshot after the full drop.
+        assert store.log_hello(9, "US") == live.store.wal.last_seq + 1
+        store.close()
 
     def test_corrupt_snapshot_downgrades_to_full_replay(self, tmp_path):
         live = make_controller(tmp_path / "store")

@@ -24,7 +24,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.bandit import UCB1Explorer
 from repro.core.history import CallHistory, RunningStat, history_to_dict
-from repro.core.policy import ViaConfig, ViaPolicy, VectorizedViaPolicy
+from repro.core.policy import ViaConfig, ViaPolicy
 from repro.core.topk import top_k_from_bounds
 from repro.core.vector import CallBatch, MetricsBatch, epsilon_explorations
 from repro.netmodel.metrics import PathMetrics
@@ -32,7 +32,7 @@ from repro.netmodel.options import DIRECT, RelayOption
 from repro.obs.metrics import MetricsRegistry
 from repro.simulation.microbench import MicrobenchConfig, _inter_relay, _make_stream
 from repro.simulation.replay import replay
-from repro.verify.differential import run_differential
+from repro.verify.differential import VectorizedViaPolicy, run_differential
 
 pytestmark = pytest.mark.vector
 

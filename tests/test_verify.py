@@ -371,7 +371,7 @@ class TestRunner:
         assert len(report.legs) == 3
         assert report.artifact_path is None
         text = registry.render_text()
-        # One stream x two candidates (scalar ViaPolicy + VectorizedViaPolicy).
+        # One stream x two candidates (scalar ViaPolicy + the vector adapter).
         assert 'via_verify_checks_total{leg="differential"} 2' in text
         assert 'via_verify_checks_total{leg="crashpoints"}' in text
         assert "via_verify_last_duration_seconds" in text
