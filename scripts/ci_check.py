@@ -424,8 +424,57 @@ def _soak_smoke() -> bool:
     return True
 
 
+def _codec_ratios() -> bool:
+    """The wire codec's shape as ratios, not microseconds: both sides of
+    each ratio are best-of-5 ``timeit`` runs taken back to back in this
+    process, so a slow or noisy box moves them together."""
+    print("== perf: codec ratios on the 21-option menu", flush=True)
+    import timeit
+
+    from repro.deployment.protocol import (
+        RequestMessage,
+        decode_message,
+        decode_option,
+        encode_message,
+        encode_option,
+    )
+    from repro.netmodel.options import OptionKind, RelayOption
+    from repro.simulation.microbench import MicrobenchConfig, _options
+
+    menu = [encode_option(option) for option in _options(MicrobenchConfig())]
+    request = RequestMessage(17, 42, 36.0, menu, corr_id=123456)
+    line = encode_message(request)
+    warm = menu[-1]
+    built = decode_option(warm)
+
+    def best(fn, number: int) -> float:
+        return min(timeit.repeat(fn, number=number, repeat=5)) / number * 1e6
+
+    encode = best(lambda: encode_message(request), 2000)
+    decode = best(lambda: decode_message(line), 2000)
+    probe = best(lambda: decode_option(warm), 20000)
+    build = best(lambda: RelayOption(OptionKind.TRANSIT, built.ingress, built.egress), 20000)
+    print(
+        f"  encode_request {encode:.1f} us vs decode_request {decode:.1f} us "
+        f"({encode / decode:.2f}x, limit 3x); warm decode_option {probe:.2f} us "
+        f"vs RelayOption() {build:.2f} us ({probe / build:.2f}x, limit 0.5x)"
+    )
+    if encode >= 3 * decode:
+        print("ci-check: FAILED at codec-ratios (encoding a request costs 3x "
+              "decoding it: is encode_message copying the menu again?)")
+        return False
+    if probe >= 0.5 * build:
+        print("ci-check: FAILED at codec-ratios (a warm decode_option is no "
+              "cheaper than constructing the option: is the intern table hit?)")
+        return False
+    return True
+
+
 def _perf_smoke(env: dict[str, str]) -> bool:
-    """The repo benchmark's correctness checks (``make perf-smoke``)."""
+    """The repo benchmark's correctness checks (``make perf-smoke``), after
+    the codec ratio check."""
+    if not _codec_ratios():
+        return False
     steps = (
         ("perf self-tests", [sys.executable, "-m", "pytest", "perf/tests", "-q"]),
         (

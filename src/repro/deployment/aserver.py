@@ -23,12 +23,16 @@ Protocol versions coexist per connection:
 * **v2** connections pipeline: admitted requests enter the shared queue
   and complete *out of order*; replies carry the request's ``corr_id``.
 
-Hostile input never reaches an unhandled exception: malformed lines, and
-decodable requests whose ``options`` is not a list of option objects, are
-answered with a per-request :class:`~repro.deployment.protocol.ErrorMessage`
-(v2) or dropped (v1); an oversized line is rejected after the stream has
-been resynchronised (v2 keeps the connection, v1 closes cleanly); a
-slow-loris peer is disconnected by the idle timeout.
+Hostile input never reaches an unhandled exception.  The single gate is
+:func:`~repro.deployment.protocol.decode_message`: a line that is not
+JSON, names no known type, or carries a field that is not of its declared
+wire type (a list for an id, ``"abc"`` or NaN for a time, a malformed
+option object) never becomes a message -- it is answered with a
+per-request :class:`~repro.deployment.protocol.ErrorMessage` echoing the
+line's ``corr_id`` (v2) or dropped (v1), before it is counted, admitted,
+WAL-logged or shown to the policy.  An oversized line is rejected after
+the stream has been resynchronised (v2 keeps the connection, v1 closes
+cleanly); a slow-loris peer is disconnected by the idle timeout.
 """
 
 from __future__ import annotations
@@ -58,8 +62,6 @@ from repro.deployment.protocol import (
     ShedMessage,
     StatsRequestMessage,
     SyncRequestMessage,
-    check_measurement,
-    check_options,
     decode_message,
     encode_message,
     read_wire_line,
@@ -252,17 +254,8 @@ class ViaServer:
                 break
             if not line:
                 break
-            corr_id = None
             try:
                 message = decode_message(line)
-                # Decodable but possibly hostile: gate the field shapes
-                # before the ladder, the WAL or the policy can see them.
-                if isinstance(message, RequestMessage):
-                    corr_id = message.corr_id
-                    check_options(message.options)
-                elif isinstance(message, MeasurementMessage):
-                    corr_id = message.corr_id
-                    check_measurement(message)
             except ProtocolError as exc:
                 controller._obs_protocol_errors.inc()
                 logger.warning("dropping bad message from %s: %s", conn.peer, exc)
@@ -270,7 +263,7 @@ class ViaServer:
                     await self._send(
                         conn,
                         ErrorMessage(
-                            code="malformed", detail=str(exc)[:200], corr_id=corr_id
+                            code="malformed", detail=str(exc)[:200], corr_id=exc.corr_id
                         ),
                     )
                 continue
@@ -283,9 +276,7 @@ class ViaServer:
             if not isinstance(message, RequestMessage):
                 # Requests are timed at service time (workers), where the
                 # latency actually accrues; everything else is inline.
-                controller._msg_seconds.labels(type=message.type).observe(
-                    perf_counter() - t0
-                )
+                controller._observe_seconds(message.type, perf_counter() - t0)
             faults = controller.faults
             if faults is not None and faults.should_drop_connection():
                 logger.info("fault injection: dropping connection to %s", conn.peer)
@@ -426,7 +417,7 @@ class ViaServer:
             reply = controller._default_reply(message)
         service_s = perf_counter() - t0
         self.admission.observe_service(service_s)
-        controller._msg_seconds.labels(type="request").observe(service_s)
+        controller._observe_seconds("request", service_s)
         if reply is None:
             return
         await self._send_reply(conn, reply, message.corr_id)
@@ -459,6 +450,8 @@ class ViaServer:
             delay = faults.reply_delay_s()
             if delay > 0.0:
                 await asyncio.sleep(delay)
+        # Assign replies are built with their corr_id; only the off-path
+        # ones (stats, metrics, sync frames, redirects) are re-stamped here.
         if corr_id is not None and getattr(reply, "corr_id", None) != corr_id:
             reply = replace(reply, corr_id=corr_id)
         await self._send(conn, reply)

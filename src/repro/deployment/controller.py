@@ -160,6 +160,9 @@ class ViaController:
             "Controller-side handling latency, by protocol message type.",
             ("type",),
         )
+        # Resolved per type on first use (not pre-bound like the counters:
+        # nine empty 20-bucket histograms would double an idle scrape).
+        self._msg_timers: dict[str, Any] = {}
         self._obs_reconnects = self.registry.counter(
             "via_controller_reconnects_total",
             "Hello messages from a client id seen before (client reconnects).",
@@ -356,6 +359,12 @@ class ViaController:
             )
         series.inc()
 
+    def _observe_seconds(self, msg_type: str, seconds: float) -> None:
+        series = self._msg_timers.get(msg_type)
+        if series is None:
+            series = self._msg_timers[msg_type] = self._msg_seconds.labels(type=msg_type)
+        series.observe(seconds)
+
     def _maybe_store_snapshot(self) -> None:
         if self.store is not None and self.store.should_snapshot():
             try:
@@ -429,7 +438,7 @@ class ViaController:
         choice = self.policy.assign(call, options)
         encoded = encode_option(choice)
         self._assign_cache[(message.src_id, message.dst_id)] = encoded
-        return AssignMessage(option=encoded)
+        return AssignMessage(option=encoded, corr_id=message.corr_id)
 
     def cached_assignment(self, message: RequestMessage) -> AssignMessage | None:
         """The degrade rung: the pair's last assignment, if it is still
@@ -439,7 +448,7 @@ class ViaController:
         cached = self._assign_cache.get((message.src_id, message.dst_id))
         if cached is None or cached not in message.options:
             return None
-        return AssignMessage(option=cached)
+        return AssignMessage(option=cached, corr_id=message.corr_id)
 
     # ------------------------------------------------------------------
     # Durable store bridging (WAL replay + snapshots)
@@ -504,12 +513,10 @@ class ViaController:
             check_options(message.options)
         except ProtocolError:
             return None
-        if not message.options:
-            return None
         for option_data in message.options:
             if option_data.get("kind") == "direct":
-                return AssignMessage(option=option_data)
-        return AssignMessage(option=message.options[0])
+                return AssignMessage(option=option_data, corr_id=message.corr_id)
+        return AssignMessage(option=message.options[0], corr_id=message.corr_id)
 
     def metrics_text(self) -> str:
         """The controller's full Prometheus text exposition: message

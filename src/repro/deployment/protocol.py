@@ -25,6 +25,22 @@ Two protocol versions share this wire format:
 
 ``corr_id`` is encoded only when set, so a v2 peer talking to v1 code
 produces byte-identical v1 wire lines for id-less messages.
+
+The message dataclasses below are the only description of the wire.  At
+import each class's declared fields are compiled into one **field table**
+-- ``(name, wire-type check, omitted-when-None)`` per field, the check
+chosen by the field's annotation (:data:`WIRE_TYPES`) -- and both
+directions walk it: :func:`encode_message` copies the fields into a flat
+dict for one shared JSON encoder, :func:`decode_message` checks every
+value against its declared wire type *before* it constructs the message.
+A decoded message is therefore safe to count, log and hand to the policy:
+ids are true integers, times and metrics finite numbers in range, option
+objects decode to a :class:`RelayOption`.  Nothing downstream re-checks.
+
+Option objects repeat on every call (a pair's menu is the same 21 dicts
+each time), so :func:`decode_option` interns them: the first sight of an
+option is shape-checked and constructed, later sights are one dict probe
+returning the shared frozen instance (see :data:`OPTION_INTERN_MAX`).
 """
 
 from __future__ import annotations
@@ -32,11 +48,11 @@ from __future__ import annotations
 import asyncio
 import json
 import sys
-from dataclasses import asdict, dataclass
-from typing import Any, Union
+from dataclasses import dataclass, fields
+from typing import Any, Callable, NamedTuple, Union, get_args
 
 from repro.netmodel.metrics import PathMetrics
-from repro.netmodel.options import OptionKind, RelayOption
+from repro.netmodel.options import DIRECT, OptionKind, RelayOption
 
 __all__ = [
     "HelloMessage",
@@ -63,6 +79,9 @@ __all__ = [
     "decode_option",
     "check_options",
     "check_measurement",
+    "WireField",
+    "WIRE_TYPES",
+    "OPTION_INTERN_MAX",
     "read_wire_line",
     "ProtocolError",
     "OversizedLineError",
@@ -79,7 +98,17 @@ LATEST_PROTOCOL = PROTOCOL_V2
 
 
 class ProtocolError(ValueError):
-    """Raised on malformed or unknown wire messages."""
+    """Raised on malformed or unknown wire messages.
+
+    ``corr_id`` is the rejected line's correlation id when the line was a
+    JSON object carrying a well-formed (integer) one: no message comes
+    back from a failed decode to read it from, and a v2 server echoes it
+    so the caller fails fast instead of waiting out its timeout.
+    """
+
+    def __init__(self, detail: str, *, corr_id: int | None = None) -> None:
+        super().__init__(detail)
+        self.corr_id = corr_id
 
 
 class OversizedLineError(ProtocolError):
@@ -92,80 +121,161 @@ class OversizedLineError(ProtocolError):
     """
 
 
+# ----------------------------------------------------------------------
+# Relay options on the wire (interned)
+# ----------------------------------------------------------------------
+
+#: Most distinct option objects the intern table holds.  A 64-relay fleet
+#: has 64 bounce + 4032 transit + 1 direct options; past the cap an option
+#: still decodes (checked and constructed per call), it just is not kept,
+#: so a peer sending endless distinct relay ids cannot grow the process.
+OPTION_INTERN_MAX = 8192
+
+# Keyed on the field *types* as well as the values: True == 1 == 1.0 and
+# all three hash alike, so a (kind, ingress, egress) key alone would let a
+# bool or float id hit the entry cached for the integer.
+_interned_options: dict[tuple, RelayOption] = {}
+
+
 def encode_option(option: RelayOption) -> dict[str, Any]:
     """Wire form of a relaying option."""
     return {"kind": option.kind.value, "ingress": option.ingress, "egress": option.egress}
 
 
 def decode_option(data: dict[str, Any]) -> RelayOption:
-    """Parse the wire form back into a :class:`RelayOption`."""
-    try:
-        kind = OptionKind(data["kind"])
-        return RelayOption(kind=kind, ingress=data.get("ingress"), egress=data.get("egress"))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ProtocolError(f"bad option payload: {data!r}") from exc
+    """Parse the wire form back into a :class:`RelayOption`.
 
+    Accepts an object of known ``kind`` whose relay ids are true integers
+    matching the kind (direct: none; bounce: equal; transit: two
+    distinct); anything else is a :class:`ProtocolError`.  Equal payloads
+    return the same shared instance (``DIRECT`` for direct)."""
+    try:
+        ingress, egress = data["ingress"], data["egress"]
+        return _interned_options[data["kind"], ingress, egress, type(ingress), type(egress)]
+    except (KeyError, TypeError):  # first sight, absent ids, or not an option at all
+        return _intern_option(data)
+
+
+def _intern_option(data: Any) -> RelayOption:
+    """Check an option's shape, construct it, and keep it if there is room."""
+    option = None
+    if isinstance(data, dict):
+        kind, ingress, egress = data.get("kind"), data.get("ingress"), data.get("egress")
+        if kind == "direct":
+            if ingress is None and egress is None:
+                option = DIRECT
+        # bool is an int subclass and "a" == "a": a relay id is neither.
+        elif type(ingress) is int and type(egress) is int:
+            try:
+                # RelayOption owns which ids go with which kind.
+                option = RelayOption(OptionKind(kind), ingress, egress)
+            except ValueError:
+                pass
+    if option is None:
+        raise ProtocolError(f"bad option payload: {data!r:.80}")
+    if len(_interned_options) < OPTION_INTERN_MAX:
+        _interned_options[kind, ingress, egress, type(ingress), type(egress)] = option
+    return option
+
+
+# ----------------------------------------------------------------------
+# Wire types: what a field's annotation admits on decode
+# ----------------------------------------------------------------------
+
+#: Annotation aliases that name a wire type narrower than the Python type.
+WireOption = dict[str, Any]
+Hours = float
 
 _FLOAT_MAX = sys.float_info.max
 
 
-def _check_option(data: Any) -> None:
-    """Accept exactly the payloads :func:`decode_option` turns into a
-    :class:`RelayOption` whose relay ids are true integers."""
-    if isinstance(data, dict):
-        # == on the kind, not a dict probe: a hostile kind may be unhashable.
-        kind, ingress, egress = data.get("kind"), data.get("ingress"), data.get("egress")
-        if kind == "direct":
-            if ingress is None and egress is None:
-                return
-        # bool is an int subclass and "a" == "a": a relay id is neither.
-        elif type(ingress) is int and type(egress) is int:
-            if (kind == "bounce" and ingress == egress) or (
-                kind == "transit" and ingress != egress
-            ):
-                return
-    raise ProtocolError(f"bad option payload: {data!r:.80}")
+def _is_int(value: Any) -> bool:
+    return type(value) is int  # bool is an int subclass, not an id or a count
+
+
+def _is_real(value: Any) -> bool:
+    # The comparison is False for NaN and +-inf, and exact (no
+    # OverflowError) for an integer too large to become a float.
+    return (type(value) is float or type(value) is int) and (
+        -_FLOAT_MAX <= value <= _FLOAT_MAX
+    )
+
+
+def _is_hours(value: Any) -> bool:
+    # Call rejects a negative t_hours; by then the message is in the WAL.
+    return (type(value) is float or type(value) is int) and 0 <= value <= _FLOAT_MAX
+
+
+def _is_str(value: Any) -> bool:
+    return type(value) is str
+
+
+def _is_bool(value: Any) -> bool:
+    return type(value) is bool
+
+
+def _is_object(value: Any) -> bool:
+    return type(value) is dict
+
+
+def _is_option(value: Any) -> bool:
+    try:
+        decode_option(value)
+    except ProtocolError:
+        return False
+    return True
+
+
+def _is_menu(value: Any) -> bool:
+    # Non-empty: the policy cannot choose from no options, and by the time
+    # it says so the request is in the WAL.
+    if not isinstance(value, list) or not value:
+        return False
+    interned = _interned_options
+    try:
+        for data in value:
+            # decode_option's probe, inline: 21 calls per request add up.
+            try:
+                ingress, egress = data["ingress"], data["egress"]
+                interned[data["kind"], ingress, egress, type(ingress), type(egress)]
+            except (KeyError, TypeError):
+                _intern_option(data)
+    except ProtocolError:
+        return False
+    return True
+
+
+#: Declared annotation -> the check a decoded value must pass.  The only
+#: place a wire type is defined; a field annotated with anything else
+#: fails at import, so no field can reach the wire unchecked.
+WIRE_TYPES: dict[str, Callable[[Any], bool]] = {
+    "int": _is_int,
+    "float": _is_real,
+    "Hours": _is_hours,
+    "str": _is_str,
+    "bool": _is_bool,
+    "dict[str, Any]": _is_object,
+    "WireOption": _is_option,
+    "list[WireOption]": _is_menu,
+}
 
 
 def check_options(options: Any) -> None:
-    """Reject a request's ``options`` unless it is a list of option
-    objects of known kind with relay ids to match.
-
-    ``decode_message`` checks field *names*, not field shapes, so this is
-    the server's gate for the one nested field it later indexes into: run
-    before a request touches the admission ladder, the WAL or the policy.
-    """
-    if not isinstance(options, list):
-        raise ProtocolError(f"options must be a list: {options!r:.80}")
-    for data in options:
-        _check_option(data)
+    """Reject a request's ``options`` unless it is a non-empty list of
+    option objects :func:`decode_option` accepts -- the ``list[WireOption]``
+    wire type, for callers holding a value rather than a line."""
+    if not _is_menu(options):
+        raise ProtocolError(f"options must be a list of option objects: {options!r:.80}")
 
 
 def check_measurement(message: "MeasurementMessage") -> None:
-    """Reject a measurement unless its option is an option object of
-    known kind with relay ids to match, its ids are integers and its time
-    and metrics are finite real numbers in the ranges :class:`Call` and
-    :class:`PathMetrics` accept.
-
-    The measurement twin of :func:`check_options`: run before the message
-    is counted, WAL-logged or shown to the policy, so a poison record can
-    never be replayed on every later recovery.
-    """
-    _check_option(message.option)
-    for name in ("src_id", "dst_id"):
-        value = getattr(message, name)
-        if type(value) is not int:  # bool is an int subclass, not an id
-            raise ProtocolError(f"{name} must be an integer: {value!r:.80}")
-    for name in ("t_hours", "rtt_ms", "loss_rate", "jitter_ms"):
-        value = getattr(message, name)
-        # The comparison is False for NaN and +-inf, and exact (no
-        # OverflowError) for an integer too large to become a float.
-        if type(value) not in (int, float) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-            raise ProtocolError(f"{name} must be a finite number: {value!r:.80}")
-    if message.t_hours < 0:
-        raise ProtocolError(f"t_hours must be >= 0: {message.t_hours!r:.80}")
+    """Reject a measurement built in process unless it would survive
+    :func:`decode_message`: every field of its declared wire type and the
+    metrics in the ranges :class:`PathMetrics` accepts."""
+    codec = _CODEC_OF[MeasurementMessage]
     try:
-        message.metrics()  # PathMetrics owns the metric ranges
+        _check_fields(codec, {name: getattr(message, name) for name in codec.by_name})
+        codec.whole(message)
     except ValueError as exc:
         raise ProtocolError(f"bad measurement: {exc}") from exc
 
@@ -210,8 +320,8 @@ class MeasurementMessage:
 
     src_id: int
     dst_id: int
-    t_hours: float
-    option: dict[str, Any]
+    t_hours: Hours
+    option: WireOption
     rtt_ms: float
     loss_rate: float
     jitter_ms: float
@@ -231,8 +341,8 @@ class RequestMessage:
 
     src_id: int
     dst_id: int
-    t_hours: float
-    options: list[dict[str, Any]]
+    t_hours: Hours
+    options: list[WireOption]
 
     type: str = "request"
     corr_id: int | None = None
@@ -242,7 +352,7 @@ class RequestMessage:
 class AssignMessage:
     """Controller's reply to a request."""
 
-    option: dict[str, Any]
+    option: WireOption
 
     type: str = "assign"
     corr_id: int | None = None
@@ -452,25 +562,55 @@ Message = Union[
     ByeMessage,
 ]
 
-_MESSAGE_TYPES: dict[str, type] = {
-    "hello": HelloMessage,
-    "hello_ack": HelloAckMessage,
-    "measurement": MeasurementMessage,
-    "request": RequestMessage,
-    "assign": AssignMessage,
-    "stats_request": StatsRequestMessage,
-    "stats": StatsMessage,
-    "metrics_request": MetricsRequestMessage,
-    "metrics": MetricsMessage,
-    "resilience": ResilienceMessage,
-    "error": ErrorMessage,
-    "shed": ShedMessage,
-    "redirect": RedirectMessage,
-    "shard_map": ShardMapMessage,
-    "sync_request": SyncRequestMessage,
-    "sync": SyncMessage,
-    "bye": ByeMessage,
-}
+# ----------------------------------------------------------------------
+# The field tables: one per message class, compiled once at import
+# ----------------------------------------------------------------------
+
+
+class WireField(NamedTuple):
+    """One declared field as the codec sees it."""
+
+    name: str
+    #: The wire type: a decoded value is accepted iff this returns True.
+    check: Callable[[Any], bool]
+    #: Omitted from the wire when None (and None accepted when present).
+    optional: bool
+
+
+class _Codec(NamedTuple):
+    cls: type
+    #: The wire ``type`` string: the default of the class's ``type`` field.
+    type: str
+    #: In declaration order, which is the order fields are encoded in.
+    fields: tuple[WireField, ...]
+    #: The fields a peer may send, by name (``type`` is consumed first).
+    by_name: dict[str, WireField]
+    #: Called on the constructed message for ranges that span fields or
+    #: belong to another class; raises ValueError.
+    whole: Callable[[Any], Any] | None
+
+
+def _compile(cls: type) -> _Codec:
+    declared = fields(cls)
+    table = tuple(
+        WireField(
+            field.name,
+            WIRE_TYPES[field.type.removesuffix(" | None")],
+            field.type.endswith(" | None"),
+        )
+        for field in declared
+    )
+    wire_type = next(field.default for field in declared if field.name == "type")
+    by_name = {field.name: field for field in table if field.name != "type"}
+    # PathMetrics owns the metric ranges; building it is the range check.
+    whole = MeasurementMessage.metrics if cls is MeasurementMessage else None
+    return _Codec(cls, wire_type, table, by_name, whole)
+
+
+_CODEC_OF: dict[type, _Codec] = {cls: _compile(cls) for cls in get_args(Message)}
+_CODECS: dict[str, _Codec] = {codec.type: codec for codec in _CODEC_OF.values()}
+
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def encode_message(message: Message) -> bytes:
@@ -479,38 +619,62 @@ def encode_message(message: Message) -> bytes:
     An unset ``corr_id`` is omitted from the wire entirely, so id-less
     messages stay byte-identical to protocol v1; likewise an unset
     ``shard_map`` (single controllers' hello_acks predate sharding)."""
-    payload = asdict(message)
-    if payload.get("corr_id") is None:
-        payload.pop("corr_id", None)
-    if "shard_map" in payload and payload["shard_map"] is None:
-        payload.pop("shard_map")
-    line = json.dumps(payload, separators=(",", ":")) + "\n"
-    encoded = line.encode("utf-8")
+    payload = {}
+    for name, _, optional in _CODEC_OF[type(message)].fields:
+        value = getattr(message, name)
+        if value is not None or not optional:
+            payload[name] = value
+    encoded = (_encode_json(payload) + "\n").encode("utf-8")
     if len(encoded) > MAX_LINE_BYTES:
         raise ProtocolError(f"message exceeds {MAX_LINE_BYTES} bytes")
     return encoded
 
 
-def decode_message(line: bytes | str) -> Message:
-    """Parse one wire line into its message dataclass."""
-    if isinstance(line, bytes):
-        if len(line) > MAX_LINE_BYTES:
-            raise OversizedLineError(f"line exceeds {MAX_LINE_BYTES} bytes")
-        line = line.decode("utf-8", errors="strict")
+def _check_fields(codec: _Codec, payload: dict[str, Any]) -> None:
+    """Raise unless every item is a declared field holding a value of
+    its wire type."""
+    by_name = codec.by_name
     try:
+        for name, value in payload.items():
+            _, check, optional = by_name[name]
+            if not check(value) and not (optional and value is None):
+                raise ProtocolError(f"bad {name}: {value!r:.80}")
+    except KeyError:
+        raise ProtocolError(f"unexpected field {name!r:.40}") from None
+
+
+def decode_message(line: bytes | str) -> Message:
+    """Parse one wire line into its message dataclass, or raise
+    :class:`ProtocolError`: every field present is declared and holds a
+    value of its wire type, every field without a default is present."""
+    try:
+        if isinstance(line, bytes):
+            if len(line) > MAX_LINE_BYTES:
+                raise OversizedLineError(f"line exceeds {MAX_LINE_BYTES} bytes")
+            line = line.decode("utf-8", errors="strict")
         payload = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: a few thousand nested "[" fit in one line.
         raise ProtocolError(f"not valid JSON: {line[:80]!r}") from exc
-    if not isinstance(payload, dict):
+    if type(payload) is not dict:
         raise ProtocolError(f"expected a JSON object: {line[:80]!r}")
     msg_type = payload.pop("type", None)
-    cls = _MESSAGE_TYPES.get(msg_type)
-    if cls is None:
-        raise ProtocolError(f"unknown message type: {msg_type!r}")
     try:
-        return cls(**payload)
-    except TypeError as exc:
-        raise ProtocolError(f"bad fields for {msg_type!r}: {exc}") from exc
+        # A hostile type may be unhashable: only a string is looked up.
+        codec = _CODECS.get(msg_type) if type(msg_type) is str else None
+        if codec is None:
+            raise ValueError("unknown message type")
+        _check_fields(codec, payload)
+        message = codec.cls(**payload)  # TypeError: a required field is missing
+        if codec.whole is not None:
+            codec.whole(message)
+    except (TypeError, ValueError) as exc:
+        corr_id = payload.get("corr_id")
+        raise ProtocolError(
+            f"bad {msg_type!r:.40} message: {exc}",
+            corr_id=corr_id if type(corr_id) is int else None,
+        ) from exc
+    return message
 
 
 async def read_wire_line(

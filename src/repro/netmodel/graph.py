@@ -20,9 +20,15 @@ bounce/transit-only action space.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.netmodel.world import World
+
+# networkx is imported where it is used: repro.netmodel re-exports this
+# module, and a controller process that never builds a graph should not
+# pay ~0.1 s of start-up for it.
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 __all__ = ["backbone_graph", "overlay_graph", "best_multihop_route"]
 
@@ -35,6 +41,8 @@ def backbone_graph(world: World, day: int = 0) -> "nx.Graph":
 
     Edge weights are the backbone segments' true mean RTT on ``day``.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     relay_ids = world.topology.relay_ids
     graph.add_nodes_from(relay_ids)
@@ -73,6 +81,8 @@ def best_multihop_route(
     one-relay result corresponds to VIA's *bounce*, two relays to
     *transit*, and more to the Hangouts-style generalisation.
     """
+    import networkx as nx
+
     if src_asn == dst_asn:
         raise ValueError("multi-hop routing needs two distinct ASes")
     graph = overlay_graph(world, src_asn, dst_asn, day)

@@ -71,19 +71,45 @@ HOSTILE_RELAY_IDS = [
     {"kind": "bounce", "ingress": "a", "egress": "a"},
 ]
 
-#: ``options`` payloads that survive ``decode_message`` (it checks field
-#: names, not shapes) but are not a list of option objects of known kind
-#: with relay ids to match.
+#: ``options`` payloads that are not a non-empty list of option objects
+#: of known kind with relay ids to match.
 HOSTILE_OPTIONS = [
-    [1], 7, "direct", [{"kind": "wormhole"}],
+    [], [1], 7, "direct", [{"kind": "wormhole"}],
     [{"kind": "direct"}, HOSTILE_RELAY_IDS[0]],
     [HOSTILE_RELAY_IDS[1]],
     [HOSTILE_RELAY_IDS[2], {"kind": "direct"}],
 ]
 
 
-#: Measurement fields that survive ``decode_message`` the same way but
-#: are not an option object, an integer id or a finite real number in range.
+#: Request scalars that are not an integer id, a finite time >= 0 or an
+#: integer correlation id -- as JSON text, so ``1e999`` goes out as written.
+HOSTILE_REQUEST_FIELDS = [
+    ("t_hours", "-1"),
+    ("t_hours", '"abc"'),
+    ("t_hours", "1e999"),
+    ("src_id", "[1]"),
+    ("src_id", "true"),
+    ("dst_id", '"x"'),
+    ("corr_id", '"seven"'),
+    ("corr_id", "[7]"),
+]
+
+#: Lines that used to raise out of the reader loop: hello fields the
+#: handler hashes and compares, an unhashable ``type``, bytes that are
+#: not UTF-8, and nesting deeper than the JSON parser's stack.
+HOSTILE_LINES = [
+    b'{"type":"hello","client_id":[1],"site":"x","protocol":2}\n',
+    b'{"type":"hello","client_id":1,"site":"x","protocol":"2"}\n',
+    b'{"type":"hello","client_id":1,"site":["x"]}\n',
+    b'{"type":"bye","client_id":{}}\n',
+    b'{"type":"resilience","client_id":[1],"n_retries":"many"}\n',
+    b'{"type":[1]}\n',
+    b"\xff\xfe\n",
+    b"[" * 5000 + b"\n",
+]
+
+#: Measurement fields that are not an option object, an integer id or a
+#: finite real number in range.
 HOSTILE_MEASUREMENT_FIELDS = [
     ("option", [1]),
     ("option", {"kind": "wormhole"}),
@@ -438,6 +464,84 @@ class TestHostileClients:
                 assert controller._obs_protocol_errors.value == 1
                 assert controller.n_policy_errors == 0
                 writer.close()
+
+        with caplog.at_level("ERROR"):
+            run(scenario())
+        assert not [r for r in caplog.records if r.levelname == "ERROR"], caplog.text
+
+    @pytest.mark.parametrize("protocol", [1, 2])
+    @pytest.mark.parametrize("field,text", HOSTILE_REQUEST_FIELDS)
+    def test_hostile_request_scalars_are_rejected_before_the_wal(
+        self, field, text, protocol, tmp_path, caplog
+    ):
+        """A request whose ids, time or correlation id are not of their
+        wire type fails at decode -- before it is counted, admitted,
+        WAL-logged or shown to the policy.  v2 answers ``malformed`` and
+        still echoes a well-formed ``corr_id`` so the caller fails fast;
+        v1 drops the line; the connection serves the next request."""
+
+        async def scenario():
+            async with ViaController(store=tmp_path / "store") as controller:
+                reader, writer = await raw_connect(controller.port)
+                hello = {"type": "hello", "client_id": 0, "site": "US"}
+                if protocol == 2:
+                    hello["protocol"] = 2
+                writer.write(wire(hello))
+                poison = request_payload(41)
+                poison[field] = "@hostile@"
+                writer.write(wire(poison).replace(b'"@hostile@"', text.encode()))
+                writer.write(wire(request_payload(42 if protocol == 2 else None)))
+                await writer.drain()
+                if protocol == 2:
+                    assert (await read_json(reader))["type"] == "hello_ack"
+                    error = await read_json(reader)
+                    assert (error["type"], error["code"]) == ("error", "malformed")
+                    assert error.get("corr_id") == (None if field == "corr_id" else 41)
+                reply = await read_json(reader)
+                assert reply["type"] == "assign"
+                assert reply.get("corr_id") == (42 if protocol == 2 else None)
+                assert controller._obs_protocol_errors.value == 1
+                assert controller.n_requests == 1
+                assert controller.n_policy_errors == 0
+                records = controller.store.records_after(0).records
+                assert [r["kind"] for r in records] == ["hello", "request"]
+                writer.close()
+
+        with caplog.at_level("ERROR"):
+            run(scenario())
+        assert not [r for r in caplog.records if r.levelname == "ERROR"], caplog.text
+
+    @pytest.mark.parametrize("protocol", [1, 2])
+    @pytest.mark.parametrize("line", HOSTILE_LINES, ids=lambda line: repr(line[:40]))
+    def test_hostile_line_never_escapes_the_reader_loop(
+        self, line, protocol, tmp_path, caplog
+    ):
+        async def scenario():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            async with ViaController(store=tmp_path / "store") as controller:
+                reader, writer = await raw_connect(controller.port)
+                if protocol == 2:
+                    writer.write(
+                        wire({"type": "hello", "client_id": 0, "site": "US", "protocol": 2})
+                    )
+                writer.write(line)
+                writer.write(wire({"type": "stats_request", "corr_id": 5}))
+                await writer.drain()
+                if protocol == 2:
+                    assert (await read_json(reader))["type"] == "hello_ack"
+                    error = await read_json(reader)
+                    assert (error["type"], error["code"]) == ("error", "malformed")
+                stats = await read_json(reader)
+                assert (stats["type"], stats["corr_id"]) == ("stats", 5)
+                assert stats["n_policy_errors"] == 0
+                assert controller._obs_protocol_errors.value == 1
+                records = controller.store.records_after(0).records
+                assert [r["kind"] for r in records] == ["hello"] * (protocol == 2)
+                writer.close()
+            assert not unhandled, unhandled
 
         with caplog.at_level("ERROR"):
             run(scenario())
