@@ -33,7 +33,9 @@ Runs, in order, failing fast:
    the resource-trend watchdogs armed.  The hours-long run is
    ``repro soak --budget full``; this leg proves the harness itself and
    catches gross leaks in under a minute;
-8. the repo benchmark at smoke scale (``make perf-smoke``): the
+8. the repo benchmark at smoke scale (``make perf-smoke``), after two
+   same-process ratio checks (the wire codec's shape; ``World.sample_call``
+   under half its reference composition, streams equal): the
    ``perf/`` harness self-tests, then one second of every
    ``BENCHMARK.json`` workload -- the build fails when any workload's
    correctness checks fail (speed is judged by the benchmark driver,
@@ -470,10 +472,67 @@ def _codec_ratios() -> bool:
     return True
 
 
+def _sampler_ratio() -> bool:
+    """The world's sampler against its definition (the composition written
+    out in ``tests/sampler_reference.py``): the same stream, bit for bit,
+    in under half the time -- in the form of :func:`_codec_ratios`."""
+    print("== perf: World.sample_call vs the reference composition", flush=True)
+    import timeit
+
+    import numpy as np
+
+    from repro.netmodel import TopologyConfig, WorldConfig, build_world
+    from repro.workload import WorkloadConfig, generate_trace
+    from tests.sampler_reference import reference_sample_call
+
+    world = build_world(
+        WorldConfig(topology=TopologyConfig(n_countries=20, n_relays=10), n_days=10)
+    )
+    trace = generate_trace(
+        world.topology, WorkloadConfig(n_calls=2000, n_pairs=600), n_days=10
+    )
+    calls = []
+    for i, call in enumerate(trace.calls):
+        menu = world.options_for_pair(call.src_asn, call.dst_asn)
+        calls.append((
+            (call.src_asn, call.dst_asn, menu[i % len(menu)], call.t_hours),
+            dict(src_wireless=call.src_wireless, dst_wireless=call.dst_wireless,
+                 src_prefix=call.src_prefix, dst_prefix=call.dst_prefix),
+        ))
+
+    def compiled(rng):
+        return [world.sample_call(*args, rng, **client) for args, client in calls]
+
+    def reference(rng):
+        return [reference_sample_call(world, *args, rng, **client) for args, client in calls]
+
+    ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+    if compiled(ours) != reference(theirs) or (
+        ours.bit_generator.state != theirs.bit_generator.state
+    ):
+        print("ci-check: FAILED at sampler-ratio (World.sample_call and the "
+              "reference composition produced different streams)")
+        return False
+
+    def best(fn) -> float:
+        return min(timeit.repeat(lambda: fn(ours), number=1, repeat=5)) / len(calls) * 1e6
+
+    fast, slow = best(compiled), best(reference)
+    print(
+        f"  sample_call {fast:.1f} us vs reference composition {slow:.1f} us "
+        f"({fast / slow:.2f}x, limit 0.5x), streams equal over {len(calls)} calls"
+    )
+    if fast >= 0.5 * slow:
+        print("ci-check: FAILED at sampler-ratio (sampling a call costs half "
+              "its object-by-object definition: is the compiled walk in use?)")
+        return False
+    return True
+
+
 def _perf_smoke(env: dict[str, str]) -> bool:
     """The repo benchmark's correctness checks (``make perf-smoke``), after
-    the codec ratio check."""
-    if not _codec_ratios():
+    the codec and sampler ratio checks."""
+    if not _codec_ratios() or not _sampler_ratio():
         return False
     steps = (
         ("perf self-tests", [sys.executable, "-m", "pytest", "perf/tests", "-q"]),
@@ -499,7 +558,8 @@ def main() -> int:
     for step, argv in steps:
         if not _run(step, argv, env):
             return 1
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+    # The repo root too: the sampler leg times ``tests.sampler_reference``.
+    sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
     if not _verify_with_coverage():
         return 1
     # The bench gate imports repro.* directly, so it must run after the

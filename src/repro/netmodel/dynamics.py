@@ -23,6 +23,7 @@ __all__ = [
     "RegimeConfig",
     "RegimeProcess",
     "diurnal_factor",
+    "diurnal_tilt",
     "STABLE_REGIME",
     "PUBLIC_WAN_REGIME",
     "ACCESS_REGIME",
@@ -157,6 +158,11 @@ class RegimeProcess:
         )
 
 
+def diurnal_tilt(t_hours: float, peak_hour: float = 20.0) -> float:
+    """The within-day load curve in ``[-1, 1]``, peaking at ``peak_hour``."""
+    return math.cos(2.0 * math.pi * (t_hours % 24.0 - peak_hour) / 24.0)
+
+
 def diurnal_factor(t_hours: float, amplitude: float = 0.08, peak_hour: float = 20.0) -> float:
     """Mild within-day load multiplier peaking in the evening.
 
@@ -166,6 +172,4 @@ def diurnal_factor(t_hours: float, amplitude: float = 0.08, peak_hour: float = 2
     """
     if amplitude < 0.0 or amplitude >= 1.0:
         raise ValueError(f"amplitude must be in [0, 1): {amplitude}")
-    hour_of_day = t_hours % 24.0
-    phase = 2.0 * math.pi * (hour_of_day - peak_hour) / 24.0
-    return 1.0 + amplitude * math.cos(phase)
+    return 1.0 + amplitude * diurnal_tilt(t_hours, peak_hour)

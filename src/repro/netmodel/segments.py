@@ -21,7 +21,7 @@ residual error comes from sampling noise and regime shifts, as in the paper
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,6 +71,12 @@ class SegmentModel:
     ``base`` holds the long-run GOOD-state performance; the regime process
     modulates it day by day; ``noise`` adds per-call variation; the diurnal
     curve adds a mild time-of-day tilt.
+
+    Construction compiles the segment once (treat it as immutable after):
+    a regime has three states, so a day's mean is one of three shared
+    :class:`PathMetrics`, kept in ``table`` beside the plain floats that
+    :meth:`World.sample_path <repro.netmodel.world.World.sample_path>`
+    reads per call.
     """
 
     name: str
@@ -78,15 +84,48 @@ class SegmentModel:
     regime: RegimeProcess
     noise: NoiseConfig
     diurnal_amplitude: float = 0.08
+    #: ``(day_rows, diurnal_amplitude, rtt_floor, rtt_mu, rtt_sigma,
+    #: loss_mu, loss_sigma, jitter_mu, jitter_sigma)``: ``day_rows[day]`` is
+    #: ``(mean, mean rtt_ms, mean linearised loss, mean jitter_ms)`` and
+    #: each ``mu`` is the unit-mean ``-sigma^2 / 2``.
+    table: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        diurnal_factor(0.0, amplitude=self.diurnal_amplitude)  # range check
+        by_state: dict[int, tuple] = {}
+        day_rows = []
+        for day in range(self.regime.n_days):
+            state = self.regime.state_on(day)
+            if state not in by_state:
+                rtt_mult, loss_mult, jitter_mult = self.regime.multipliers_on(day)
+                mean = PathMetrics(
+                    rtt_ms=self.base.rtt_ms * rtt_mult,
+                    loss_rate=linear_to_loss(loss_to_linear(self.base.loss_rate) * loss_mult),
+                    jitter_ms=self.base.jitter_ms * jitter_mult,
+                )
+                by_state[state] = (
+                    mean, mean.rtt_ms, loss_to_linear(mean.loss_rate), mean.jitter_ms
+                )
+            day_rows.append(by_state[state])
+        noise = self.noise
+        self.table = (
+            tuple(day_rows),
+            self.diurnal_amplitude,
+            0.8 * self.base.rtt_ms,
+            *(
+                term
+                for sigma in (noise.rtt_sigma, noise.loss_sigma, noise.jitter_sigma)
+                for term in (-0.5 * sigma * sigma, sigma)
+            ),
+        )
 
     def mean_on_day(self, day: int) -> PathMetrics:
-        """The true mean performance of this segment on ``day``."""
-        rtt_mult, loss_mult, jitter_mult = self.regime.multipliers_on(day)
-        return PathMetrics(
-            rtt_ms=self.base.rtt_ms * rtt_mult,
-            loss_rate=linear_to_loss(loss_to_linear(self.base.loss_rate) * loss_mult),
-            jitter_ms=self.base.jitter_ms * jitter_mult,
-        )
+        """The true mean performance of this segment on ``day`` (clamped to
+        the final day beyond the regime horizon)."""
+        if day < 0:
+            raise ValueError(f"day must be >= 0: {day}")
+        day_rows = self.table[0]
+        return (day_rows[day] if day < len(day_rows) else day_rows[-1])[0]
 
     def sample(self, t_hours: float, rng: np.random.Generator) -> PathMetrics:
         """Draw one call's realised performance over this segment.
@@ -95,6 +134,9 @@ class SegmentModel:
         perturbed by unit-mean lognormal noise.  RTT keeps a physical
         floor: noise cannot push it below the base (propagation) value
         by more than 20%.
+
+        This defines a segment's draw (in order rtt, loss, jitter; none for
+        a zero sigma); ``World.sample_path`` computes it from ``table``.
         """
         day = int(t_hours // 24.0)
         mean = self.mean_on_day(day)

@@ -22,6 +22,7 @@ which is why domestic improvement saturates in Figure 13.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.netmodel.dynamics import (
     PUBLIC_WAN_REGIME,
     STABLE_REGIME,
     RegimeProcess,
+    diurnal_tilt,
 )
 from repro.netmodel.geo import GeoPoint, propagation_rtt_ms
 from repro.netmodel.metrics import PathMetrics, linear_to_loss, loss_to_linear
@@ -201,6 +203,7 @@ class World:
         self._options_cache: dict[tuple[int, int], list[RelayOption]] = {}
         self._prefix_cache: dict[tuple[int, int], tuple[float, float, float]] = {}
         self._residual_cache: dict[tuple, tuple[float, float, float]] = {}
+        self._plans: dict[tuple, tuple] = {}
         self._default_noise = NoiseConfig()
         self._inter_noise = NoiseConfig(rtt_sigma=0.05, loss_sigma=0.3, jitter_sigma=0.15)
         self._outages: list[RelayOutage] = []
@@ -233,10 +236,11 @@ class World:
         """False when any relay the option uses is down at ``t_hours``."""
         if not self._outages or not option.is_relayed:
             return True
-        down = self.relays_down_at(t_hours)
-        if not down:
-            return True
-        return not any(rid in down for rid in option.relay_ids())
+        relays = (option.ingress, option.egress)
+        for outage in self._outages:
+            if outage.relay_id in relays and outage.active_at(t_hours):
+                return False
+        return True
 
     def live_options_for_pair(
         self, src_asn: int, dst_asn: int, t_hours: float
@@ -494,17 +498,32 @@ class World:
             self._residual_cache[key] = factor
         return factor
 
-    @staticmethod
-    def _apply_residual(
-        metrics: PathMetrics, factor: tuple[float, float, float]
-    ) -> PathMetrics:
-        if factor == (1.0, 1.0, 1.0):
-            return metrics
-        return PathMetrics(
-            rtt_ms=metrics.rtt_ms * factor[0],
-            loss_rate=linear_to_loss(loss_to_linear(metrics.loss_rate) * factor[1]),
-            jitter_ms=metrics.jitter_ms * factor[2],
-        )
+    def _plan(self, src_asn: int, dst_asn: int, option: RelayOption) -> tuple:
+        """The compiled path of ``option``: ``(segments, n_draws, residual)``.
+
+        What a (pair, option) is on every day: its segment chain, the noise
+        draws one sample consumes (one per non-zero sigma) and its residual
+        -- ``None`` for the identity, which is skipped, not multiplied in
+        (``linear_to_loss(loss_to_linear(x))`` is not exactly ``x``).
+        """
+        # The relay ids determine the kind: none, one twice, or two.
+        key = (src_asn, dst_asn, option.ingress, option.egress)
+        plan = self._plans.get(key)
+        if plan is None:
+            segments = tuple(self.path_segments(src_asn, dst_asn, option))
+            n_draws = sum(
+                (seg.noise.rtt_sigma != 0.0)
+                + (seg.noise.loss_sigma != 0.0)
+                + (seg.noise.jitter_sigma != 0.0)
+                for seg in segments
+            )
+            residual = self.path_residual(src_asn, dst_asn, option)
+            plan = self._plans[key] = (
+                segments,
+                n_draws,
+                None if residual == (1.0, 1.0, 1.0) else residual,
+            )
+        return plan
 
     def true_mean(
         self, src_asn: int, dst_asn: int, option: RelayOption, day: int
@@ -516,9 +535,59 @@ class World:
         to all options of a call and cannot change the ranking.  Path
         residuals ARE included -- they are real properties of the path.
         """
-        segments = self.path_segments(src_asn, dst_asn, option)
+        segments, _, residual = self._plan(src_asn, dst_asn, option)
         composed = PathMetrics.compose(seg.mean_on_day(day) for seg in segments)
-        return self._apply_residual(composed, self.path_residual(src_asn, dst_asn, option))
+        return composed if residual is None else composed.scaled(*residual)
+
+    def _walk(
+        self, plan: tuple, t_hours: float, rng: np.random.Generator
+    ) -> tuple[float, float, float]:
+        """One draw of a compiled path as bare ``(rtt, loss, jitter)``.
+
+        This is ``PathMetrics.compose(seg.sample(t_hours, rng) for seg in
+        segments)`` plus the residual: the same draws and the same float
+        operations, both in the same order, so the same bits -- without the
+        per-segment objects.  The noise comes as one ``standard_normal``
+        block (``rng.lognormal(mu, s)`` is ``exp(mu + s * z)``), and ``exp``
+        stays ``math.exp`` because ``np.exp`` rounds differently.  Every
+        factor is positive by construction, so the per-segment range checks
+        cannot fire; the caller validates the finished triple.
+        """
+        segments, n_draws, residual = plan
+        day = int(t_hours // 24.0)
+        if day < 0:
+            raise ValueError(f"day must be >= 0: {day}")
+        tilt = diurnal_tilt(t_hours)
+        z = rng.standard_normal(n_draws).tolist() if n_draws else ()
+        i = 0
+        exp, expm1 = math.exp, math.expm1
+        rtt = jitter = 0.0
+        survival = 1.0
+        for seg in segments:
+            rows, amplitude, floor, rtt_mu, rtt_s, loss_mu, loss_s, jit_mu, jit_s = seg.table
+            _, mean_rtt, mean_loss, mean_jitter = rows[day] if day < len(rows) else rows[-1]
+            load = 1.0 + amplitude * tilt
+            seg_rtt = mean_rtt * load
+            if rtt_s:
+                seg_rtt *= exp(rtt_mu + rtt_s * z[i])
+                i += 1
+            rtt += floor if floor > seg_rtt else seg_rtt
+            seg_loss = mean_loss * load
+            if loss_s:
+                seg_loss *= exp(loss_mu + loss_s * z[i])
+                i += 1
+            survival *= 1.0 + expm1(-seg_loss)
+            seg_jitter = mean_jitter * load
+            if jit_s:
+                seg_jitter *= exp(jit_mu + jit_s * z[i])
+                i += 1
+            jitter += seg_jitter
+        loss = 1.0 - survival
+        if residual is not None:
+            rtt *= residual[0]
+            loss = linear_to_loss(loss_to_linear(loss) * residual[1])
+            jitter *= residual[2]
+        return rtt, loss, jitter
 
     def sample_path(
         self,
@@ -529,9 +598,7 @@ class World:
         rng: np.random.Generator,
     ) -> PathMetrics:
         """Draw one call's realised path performance (no client effects)."""
-        segments = self.path_segments(src_asn, dst_asn, option)
-        composed = PathMetrics.compose(seg.sample(t_hours, rng) for seg in segments)
-        return self._apply_residual(composed, self.path_residual(src_asn, dst_asn, option))
+        return PathMetrics(*self._walk(self._plan(src_asn, dst_asn, option), t_hours, rng))
 
     # ------------------------------------------------------------------
     # Client-level effects
@@ -557,24 +624,32 @@ class World:
             self._prefix_cache[key] = factor
         return factor
 
+    def _wireless_extra(
+        self, asn: int, rng: np.random.Generator
+    ) -> tuple[float, float, float]:
+        cfg = self.config
+        quality = self.topology.as_of(asn).access_quality
+        scale = 1.0 + 1.5 * (1.0 - quality)
+        # ``rng.exponential(m)`` is ``m * standard_exponential()``.
+        e_rtt, e_loss, e_jitter = rng.standard_exponential(3).tolist()
+        rtt = cfg.wireless_rtt_ms_mean * scale * e_rtt
+        loss = cfg.wireless_loss_mean * scale * e_loss
+        jitter = cfg.wireless_jitter_ms_mean * scale * e_jitter
+        if rng.random() < cfg.wireless_spike_prob * scale / 2.0:
+            # Bufferbloat episode: large correlated delay/loss/jitter hit.
+            e_rtt, e_loss, e_jitter = rng.standard_exponential(3).tolist()
+            rtt += cfg.wireless_spike_rtt_ms * e_rtt
+            loss += cfg.wireless_spike_loss * e_loss
+            jitter += cfg.wireless_spike_jitter_ms * e_jitter
+        return rtt, min(loss, 0.5), jitter
+
     def sample_wireless_extra(self, asn: int, rng: np.random.Generator) -> PathMetrics:
         """Extra last-hop degradation for a call leg on a wireless client.
 
         Applied identically to every relaying option of the call, so no
         relay choice can remove it (the paper's §2.2 caveat).
         """
-        cfg = self.config
-        quality = self.topology.as_of(asn).access_quality
-        scale = 1.0 + 1.5 * (1.0 - quality)
-        rtt = float(rng.exponential(cfg.wireless_rtt_ms_mean * scale))
-        loss = float(rng.exponential(cfg.wireless_loss_mean * scale))
-        jitter = float(rng.exponential(cfg.wireless_jitter_ms_mean * scale))
-        if rng.random() < cfg.wireless_spike_prob * scale / 2.0:
-            # Bufferbloat episode: large correlated delay/loss/jitter hit.
-            rtt += float(rng.exponential(cfg.wireless_spike_rtt_ms))
-            loss += float(rng.exponential(cfg.wireless_spike_loss))
-            jitter += float(rng.exponential(cfg.wireless_spike_jitter_ms))
-        return PathMetrics(rtt_ms=rtt, loss_rate=min(loss, 0.5), jitter_ms=jitter)
+        return PathMetrics(*self._wireless_extra(asn, rng))
 
     def sample_call(
         self,
@@ -593,25 +668,32 @@ class World:
 
         A call assigned to an option whose relay is down experiences the
         configured outage metrics (a blackholed media session) -- no last
-        mile or prefix effect can make it better or worse.
+        mile or prefix effect can make it better or worse -- and consumes
+        no draw.  Otherwise the draws are, in order: per segment in path
+        order rtt, loss, jitter (none for a zero sigma); then the source's
+        wireless extra; then the destination's.
         """
         if not self.option_available(option, t_hours):
             return self._outage_metrics()
-        path = self.sample_path(src_asn, dst_asn, option, t_hours, rng)
-        extras = [path]
-        if src_wireless:
-            extras.append(self.sample_wireless_extra(src_asn, rng))
-        if dst_wireless:
-            extras.append(self.sample_wireless_extra(dst_asn, rng))
-        combined = PathMetrics.compose(extras)
+        rtt, loss, jitter = self._walk(
+            self._plan(src_asn, dst_asn, option), t_hours, rng
+        )
+        # The path and its wireless extras compose as segments do.
+        survival = 1.0 - loss
+        for asn, wireless in ((src_asn, src_wireless), (dst_asn, dst_wireless)):
+            if wireless:
+                extra = self._wireless_extra(asn, rng)
+                rtt += extra[0]
+                survival *= 1.0 - extra[1]
+                jitter += extra[2]
         f_src = self.prefix_factor(src_asn, src_prefix)
         f_dst = self.prefix_factor(dst_asn, dst_prefix)
         return PathMetrics(
-            rtt_ms=combined.rtt_ms * f_src[0] * f_dst[0],
+            rtt_ms=rtt * f_src[0] * f_dst[0],
             loss_rate=linear_to_loss(
-                loss_to_linear(combined.loss_rate) * f_src[1] * f_dst[1]
+                loss_to_linear(1.0 - survival) * f_src[1] * f_dst[1]
             ),
-            jitter_ms=combined.jitter_ms * f_src[2] * f_dst[2],
+            jitter_ms=jitter * f_src[2] * f_dst[2],
         )
 
     # ------------------------------------------------------------------

@@ -196,6 +196,7 @@ def replay(
     outages = tuple(getattr(world, "outages", ()))
     set_down = getattr(policy, "set_down_relays", None) if outages else None
     last_down: frozenset[int] | None = None
+    down: frozenset[int] = frozenset()
     obs_calls = _C_CALLS.labels(policy=policy.name)
     last_day = -1
     probe_call_id = -1
@@ -206,10 +207,11 @@ def replay(
         if outages:
             # A call is dead when every path it rides is on a down relay
             # and degraded when only some are: a single-path call
-            # (including a probed call's winner) can only be dead.
+            # (including a probed call's winner) can only be dead.  ``down``
+            # is the chunk's set, which holds for every call in the chunk.
             n_up = 0
             for path in paths:
-                n_up += world.option_available(path, call.t_hours)
+                n_up += down.isdisjoint(path.relay_ids())
             if n_up == 0:
                 result.n_dead_assignments += 1
             elif n_up < len(paths):
