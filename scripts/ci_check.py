@@ -33,9 +33,11 @@ Runs, in order, failing fast:
    the resource-trend watchdogs armed.  The hours-long run is
    ``repro soak --budget full``; this leg proves the harness itself and
    catches gross leaks in under a minute;
-8. the repo benchmark at smoke scale (``make perf-smoke``), after two
+8. the repo benchmark at smoke scale (``make perf-smoke``), after three
    same-process ratio checks (the wire codec's shape; ``World.sample_call``
-   under half its reference composition, streams equal): the
+   under half its reference composition, streams equal; a WAL append of
+   a validated wire line under half ``Store.log_request`` of the same
+   values): the
    ``perf/`` harness self-tests, then one second of every
    ``BENCHMARK.json`` workload -- the build fails when any workload's
    correctness checks fail (speed is judged by the benchmark driver,
@@ -529,10 +531,57 @@ def _sampler_ratio() -> bool:
     return True
 
 
+def _wal_ratio() -> bool:
+    """Logging a validated wire line against logging the same message as
+    values (the typed helpers ``perf/`` times, which must ``json.dumps``
+    them) -- in the form of :func:`_codec_ratios`."""
+    print("== perf: WAL append of a wire line vs the same record as values", flush=True)
+    import tempfile
+    import timeit
+
+    from repro.deployment.protocol import (
+        MeasurementMessage,
+        RequestMessage,
+        encode_message,
+        encode_option,
+    )
+    from repro.simulation.microbench import MicrobenchConfig, _options
+    from repro.store import Store, StoreConfig
+
+    menu = [encode_option(option) for option in _options(MicrobenchConfig())]
+    request = encode_message(RequestMessage(17, 42, 36.0, menu, corr_id=123456))
+    measured = (17, 42, 36.0, menu[5], 187.25, 0.002, 3.0)
+    measurement = encode_message(MeasurementMessage(*measured, corr_id=123457))
+
+    def best(fn) -> float:
+        return min(timeit.repeat(fn, number=2000, repeat=5)) / 2000 * 1e6
+
+    with tempfile.TemporaryDirectory(prefix="via-ci-wal-") as tmp:
+        store = Store(tmp, StoreConfig(fsync="off"))
+        try:
+            request_line = best(lambda: store.log_line("request", request))
+            request_values = best(lambda: store.log_request(17, 42, 36.0, menu))
+            measurement_line = best(lambda: store.log_line("measurement", measurement))
+            measurement_values = best(lambda: store.log_measurement(*measured))
+        finally:
+            store.close()
+    print(
+        f"  request line {request_line:.1f} us vs log_request {request_values:.1f} us "
+        f"({request_line / request_values:.2f}x, limit 0.5x); measurement line "
+        f"{measurement_line:.1f} us vs log_measurement {measurement_values:.1f} us "
+        f"({measurement_line / measurement_values:.2f}x, limit 0.8x)"
+    )
+    if request_line >= 0.5 * request_values or measurement_line >= 0.8 * measurement_values:
+        print("ci-check: FAILED at wal-ratio (logging the line a peer sent costs "
+              "as much as encoding it: is the durable write path encoding again?)")
+        return False
+    return True
+
+
 def _perf_smoke(env: dict[str, str]) -> bool:
     """The repo benchmark's correctness checks (``make perf-smoke``), after
-    the codec and sampler ratio checks."""
-    if not _codec_ratios() or not _sampler_ratio():
+    the codec, sampler and WAL ratio checks."""
+    if not _codec_ratios() or not _sampler_ratio() or not _wal_ratio():
         return False
     steps = (
         ("perf self-tests", [sys.executable, "-m", "pytest", "perf/tests", "-q"]),

@@ -30,9 +30,12 @@ wire type (a list for an id, ``"abc"`` or NaN for a time, a malformed
 option object) never becomes a message -- it is answered with a
 per-request :class:`~repro.deployment.protocol.ErrorMessage` echoing the
 line's ``corr_id`` (v2) or dropped (v1), before it is counted, admitted,
-WAL-logged or shown to the policy.  An oversized line is rejected after
-the stream has been resynchronised (v2 keeps the connection, v1 closes
-cleanly); a slow-loris peer is disconnected by the idle timeout.
+WAL-logged or shown to the policy.  A line it accepts travels with its
+message (a request's through the queue) to the controller, whose WAL
+record is that line: logging a call encodes nothing.  An oversized line
+is rejected after the stream has been resynchronised (v2 keeps the
+connection, v1 closes cleanly); a slow-loris peer is disconnected by the
+idle timeout.
 """
 
 from __future__ import annotations
@@ -97,6 +100,8 @@ class _QueuedRequest:
 
     conn: _Connection
     message: RequestMessage
+    #: The wire line ``message`` was decoded from: what the WAL records.
+    line: bytes
     enqueued_at: float
     deadline: float
 
@@ -272,7 +277,7 @@ class ViaServer:
                 break
             t0 = perf_counter()
             with trace("handle_message", type=message.type):
-                await self._handle_message(conn, message)
+                await self._handle_message(conn, message, line)
             if not isinstance(message, RequestMessage):
                 # Requests are timed at service time (workers), where the
                 # latency actually accrues; everything else is inline.
@@ -282,8 +287,8 @@ class ViaServer:
                 logger.info("fault injection: dropping connection to %s", conn.peer)
                 break
 
-    async def _handle_message(self, conn: _Connection, message: Any) -> None:
-        """Handle one decoded message; policy errors are isolated here."""
+    async def _handle_message(self, conn: _Connection, message: Any, line: bytes) -> None:
+        """Handle one message and the line it came as; policy errors are isolated here."""
         controller = self.controller
         if isinstance(message, HelloMessage):
             conn.client_id = message.client_id
@@ -297,15 +302,15 @@ class ViaServer:
                         corr_id=message.corr_id,
                     ),
                 )
-            controller._on_hello(message.client_id, message.site)
+            controller._on_hello(message.client_id, message.site, line=line)
         elif isinstance(message, MeasurementMessage):
             try:
-                controller._on_measurement(message)
+                controller._on_measurement(message, line=line)
             except Exception:
                 controller._obs_policy_errors.inc()
                 logger.exception("policy.observe failed for %s", conn.peer)
         elif isinstance(message, RequestMessage):
-            await self._on_request(conn, message)
+            await self._on_request(conn, message, line)
         elif isinstance(message, StatsRequestMessage):
             await self._send_reply(conn, controller._stats(), message.corr_id)
         elif isinstance(message, MetricsRequestMessage):
@@ -332,7 +337,9 @@ class ViaServer:
     # The request path: admission ladder -> queue -> worker
     # ------------------------------------------------------------------
 
-    async def _on_request(self, conn: _Connection, message: RequestMessage) -> None:
+    async def _on_request(
+        self, conn: _Connection, message: RequestMessage, line: bytes
+    ) -> None:
         controller = self.controller
         faults = controller.faults
         if faults is not None and faults.should_blackhole(message.t_hours):
@@ -350,6 +357,7 @@ class ViaServer:
             item = _QueuedRequest(
                 conn=conn,
                 message=message,
+                line=line,
                 enqueued_at=loop.time(),
                 deadline=loop.time() + self.admission.config.queue_timeout_s,
             )
@@ -410,7 +418,7 @@ class ViaServer:
                 await asyncio.sleep(stall)  # chaos: an overloaded policy
         t0 = perf_counter()
         try:
-            reply = controller._on_request(message)
+            reply = controller._on_request(message, line=item.line)
         except Exception:
             controller._obs_policy_errors.inc()
             logger.exception("policy.assign failed for %s", conn.peer)

@@ -26,7 +26,8 @@ Robustness (§7 operational concerns):
   experiments;
 * with a :class:`~repro.store.Store` attached, learned state is
   checkpointed to disk and every state-changing message is appended to a
-  write-ahead log *before* the policy acts on it; startup recovery
+  write-ahead log -- as the wire line the peer sent, when the server
+  holds one -- *before* the policy acts on it; startup recovery
   replays the WAL tail on top of the latest snapshot, so a crash loses
   nothing instead of relearning from scratch.
 """
@@ -44,6 +45,7 @@ from repro.deployment.faults import FaultInjector, FaultPlan
 from repro.deployment.protocol import (
     MAX_LINE_BYTES,
     AssignMessage,
+    HelloMessage,
     MeasurementMessage,
     MetricsMessage,
     ProtocolError,
@@ -52,6 +54,7 @@ from repro.deployment.protocol import (
     StatsMessage,
     check_options,
     decode_option,
+    encode_message,
     encode_option,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -390,11 +393,18 @@ class ViaController:
             dst_user=dst_id,
         )
 
-    def _on_hello(self, client_id: int, site: str, *, live: bool = True) -> None:
+    def _log(self, kind: str, line: bytes | None, message: Any) -> None:
+        """Log-before-act: the WAL holds the peer's ``line`` (in-process
+        callers have none: the message, encoded) before the policy sees it."""
+        self.store.log_line(kind, line if line is not None else encode_message(message))
+
+    def _on_hello(
+        self, client_id: int, site: str, *, live: bool = True, line: bytes | None = None
+    ) -> None:
         """Register a client introduction (``live=False`` during replay:
         site labels are state, live connections are not)."""
         if live and self.store is not None:
-            self.store.log_hello(client_id, site)
+            self._log("hello", line, HelloMessage(client_id=client_id, site=site))
         if client_id in self.site_labels:
             self._obs_reconnects.inc()
         self.site_labels[client_id] = site
@@ -407,32 +417,22 @@ class ViaController:
         self.client_sites.pop(client_id, None)
         self._obs_clients.set(len(self.client_sites))
 
-    def _on_measurement(self, message: MeasurementMessage, *, log: bool = True) -> None:
+    def _on_measurement(
+        self, message: MeasurementMessage, *, log: bool = True, line: bytes | None = None
+    ) -> None:
         if log and self.store is not None:
-            # Log-before-act: the WAL holds the record before the policy
-            # learns from it, so a crash after this line loses nothing.
-            self.store.log_measurement(
-                message.src_id,
-                message.dst_id,
-                message.t_hours,
-                message.option,
-                message.rtt_ms,
-                message.loss_rate,
-                message.jitter_ms,
-                src_site=self.site_labels.get(message.src_id, "?"),
-                dst_site=self.site_labels.get(message.dst_id, "?"),
-            )
+            self._log("measurement", line, message)
         call = self._call_from(message.src_id, message.dst_id, message.t_hours)
         self.policy.observe(call, decode_option(message.option), message.metrics())
 
-    def _on_request(self, message: RequestMessage, *, log: bool = True) -> AssignMessage:
+    def _on_request(
+        self, message: RequestMessage, *, log: bool = True, line: bytes | None = None
+    ) -> AssignMessage:
         if log and self.store is not None:
             # Requests are logged too: assignment consumes policy RNG and
             # builds bandit state, so recovery must replay them to keep a
             # restored controller's future choices identical.
-            self.store.log_request(
-                message.src_id, message.dst_id, message.t_hours, message.options
-            )
+            self._log("request", line, message)
         call = self._call_from(message.src_id, message.dst_id, message.t_hours)
         options = [decode_option(o) for o in message.options]
         choice = self.policy.assign(call, options)

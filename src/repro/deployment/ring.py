@@ -288,21 +288,23 @@ class ShardController(ViaController):
         )
 
     def _on_request(
-        self, message: RequestMessage, *, log: bool = True
+        self, message: RequestMessage, *, log: bool = True, line: bytes | None = None
     ) -> AssignMessage | RedirectMessage:
         redirect = self._maybe_redirect(message)
         if redirect is not None:
             # Not WAL-logged: a redirect consumes no policy state, so a
             # recovered shard must not replay it.
             return redirect
-        return super()._on_request(message, log=log)
+        return super()._on_request(message, log=log, line=line)
 
     # ------------------------------------------------------------------
     # The local-observation mirror
     # ------------------------------------------------------------------
 
-    def _on_measurement(self, message: Any, *, log: bool = True) -> None:
-        super()._on_measurement(message, log=log)
+    def _on_measurement(
+        self, message: Any, *, log: bool = True, line: bytes | None = None
+    ) -> None:
+        super()._on_measurement(message, log=log, line=line)
         # Mirror into the local observation set with exactly the keying
         # and orientation the policy used (measurements for pairs we do
         # not own -- a stale client's sends -- are accepted too: gossip

@@ -9,10 +9,13 @@ One :class:`Store` owns one on-disk layout::
 The write path is *log-before-act*: the controller appends a record for
 every state-changing message before the policy sees it, so a crashed
 controller is exactly reconstructible as snapshot + WAL-tail replay
-(:mod:`repro.store.recovery`).  Snapshots cut the log down: taking one
-rotates the active segment and deletes, unread, every sealed segment it
-now covers -- after which disk holds one snapshot and only the records
-since.
+(:mod:`repro.store.recovery`).  The record *is* the message: the server
+hands :meth:`Store.log_line` the wire line it validated and nothing is
+encoded on the way to disk; the typed ``log_*`` helpers are thin wrappers
+over it that now serve only ``perf/`` and the store's own tests.
+Snapshots cut the log down: taking one rotates the active segment and
+deletes, unread, every sealed segment it now covers -- after which disk
+holds one snapshot and only the records since.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Any, Protocol
 
 from repro.obs.metrics import MetricsRegistry
 from repro.store.io import atomic_write_json
-from repro.store.wal import FSYNC_POLICIES, WalReadResult, WriteAheadLog, read_wal
+from repro.store.wal import FSYNC_POLICIES, WalReadResult, WriteAheadLog, _dumps, read_wal
 
 __all__ = [
     "SNAPSHOT_FORMAT",
@@ -111,8 +114,16 @@ class Store:
         # every segment is deleted, so a reopened WAL's directory scan
         # finds nothing and would restart at 0 -- while the snapshot still
         # covers a higher seq, hiding every new record from recovery.
-        self.wal.last_seq = max(self.wal.last_seq, self.snapshot_seq())
-        self._records_since_snapshot = max(0, self.wal.last_seq - self.snapshot_seq())
+        # Parsed once per start: the payload read here for its seq is kept
+        # for the read_snapshot() that recovery makes next, then dropped.
+        self._opened_snapshot: tuple[dict | None, int] | None = None
+        try:
+            self._opened_snapshot = self.read_snapshot()
+        except (ValueError, KeyError, OSError):
+            pass  # corrupt: recovery re-reads it and reports
+        covered = self._opened_snapshot[1] if self._opened_snapshot else 0
+        self.wal.last_seq = max(self.wal.last_seq, covered)
+        self._records_since_snapshot = self.wal.last_seq - covered
 
     @property
     def snapshot_path(self) -> Path:
@@ -122,14 +133,19 @@ class Store:
     # Logging (the controller's log-before-act hooks)
     # ------------------------------------------------------------------
 
-    def _append(self, record: dict) -> int:
-        seq = self.wal.append(record)
+    def log_line(self, kind: str, line: bytes) -> int:
+        """Record a hello, measurement or request as the wire line its peer sent."""
+        seq = self.wal.append_line(kind, line)
         self._records_since_snapshot += 1
         return seq
 
+    def _log_values(self, kind: str, **fields: Any) -> int:
+        # The typed helpers below hold values and no line; the server logs lines.
+        return self.log_line(kind, _dumps(fields).encode("utf-8"))
+
     def log_hello(self, client_id: int, site: str) -> int:
         """Record a client introduction (site labels survive crashes)."""
-        return self._append({"kind": "hello", "client_id": client_id, "site": site})
+        return self._log_values("hello", client_id=client_id, site=site)
 
     def log_measurement(
         self,
@@ -144,20 +160,11 @@ class Store:
         src_site: str = "?",
         dst_site: str = "?",
     ) -> int:
-        """Record one completed call's measurement before the policy learns it."""
-        return self._append(
-            {
-                "kind": "measurement",
-                "src_id": src_id,
-                "dst_id": dst_id,
-                "t_hours": t_hours,
-                "option": option,
-                "rtt_ms": rtt_ms,
-                "loss_rate": loss_rate,
-                "jitter_ms": jitter_ms,
-                "src_site": src_site,
-                "dst_site": dst_site,
-            }
+        """Record one completed call's measurement before the policy learns
+        it.  The site labels are accepted and not recorded: nothing read them."""
+        return self._log_values(
+            "measurement", src_id=src_id, dst_id=dst_id, t_hours=t_hours, option=option,
+            rtt_ms=rtt_ms, loss_rate=loss_rate, jitter_ms=jitter_ms,
         )
 
     def log_request(
@@ -167,21 +174,11 @@ class Store:
         t_hours: float,
         options: list[dict[str, Any]],
     ) -> int:
-        """Record an assignment request before answering it.
-
-        Requests must be logged too: assignment consumes the policy's RNG
-        and builds per-pair bandit state, so replaying only measurements
-        would leave a recovered controller making *different* choices
-        than its uninterrupted twin.
-        """
-        return self._append(
-            {
-                "kind": "request",
-                "src_id": src_id,
-                "dst_id": dst_id,
-                "t_hours": t_hours,
-                "options": options,
-            }
+        """Record an assignment request before answering it: assignment
+        consumes the policy's RNG and builds bandit state, so a recovery
+        that replayed only measurements would choose *differently*."""
+        return self._log_values(
+            "request", src_id=src_id, dst_id=dst_id, t_hours=t_hours, options=options
         )
 
     # ------------------------------------------------------------------
@@ -202,6 +199,7 @@ class Store:
         segment, and deletes every sealed segment the snapshot covers.
         """
         last_seq = self.wal.last_seq
+        self._opened_snapshot = None
         atomic_write_json(
             self.snapshot_path,
             {
@@ -244,6 +242,9 @@ class Store:
         Raises on a corrupt snapshot file -- recovery downgrades that to
         a counted outcome, tooling surfaces it.
         """
+        opened, self._opened_snapshot = self._opened_snapshot, None
+        if opened is not None and opened[0] is not None:
+            return opened
         if not self.snapshot_path.exists():
             return None, 0
         payload = json.loads(self.snapshot_path.read_text(encoding="utf-8"))

@@ -10,8 +10,11 @@ On-disk format, one segment file at a time (``wal-00000001.seg``, ...):
 
 * an 8-byte magic prefix (:data:`SEGMENT_MAGIC`);
 * a sequence of frames ``[u32 length][u32 crc32][payload]``
-  (little-endian header, JSON payload).  Each payload is one record dict
-  carrying a global monotone ``seq`` plus a ``kind``.
+  (little-endian header, JSON payload).  Each payload is one flat JSON
+  object: a global monotone ``seq``, a ``kind``, then the wire line the
+  peer sent minus its opening brace (:meth:`WriteAheadLog.append_line`
+  encodes nothing) or, through :meth:`WriteAheadLog.append`, the members
+  of a dict: ``json.dumps`` it, then the same splice.
 
 Writers append through an unbuffered file handle, so a killed *process*
 loses nothing that was appended; the :class:`WriteAheadLog` fsync policy
@@ -34,7 +37,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.obs.metrics import MetricsRegistry
 from repro.store.io import fsync_dir, fsync_file
@@ -76,9 +79,18 @@ def _segment_index(path: Path) -> int:
     return int(path.stem.split("-")[1])
 
 
-def encode_frame(record: dict) -> bytes:
-    """One record's on-disk frame: header + JSON payload."""
-    payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
+#: What goes in front of a logged wire line, by the kinds the store logs.
+_LINE_HEAD = {
+    kind: b'{"seq":%d,"kind":"' + kind.encode() + b'",'
+    for kind in ("hello", "measurement", "request")
+}
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def encode_frame(record: dict | bytes) -> bytes:
+    """One record's on-disk frame: header + JSON payload, from the record's
+    values (``seq`` and ``kind`` among them) or its ready-made payload."""
+    payload = record if isinstance(record, bytes) else _dumps(record).encode("utf-8")
     if len(payload) > MAX_RECORD_BYTES:
         raise ValueError(f"record exceeds {MAX_RECORD_BYTES} bytes: {len(payload)}")
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
@@ -261,6 +273,7 @@ class WriteAheadLog:
             "via_store_bytes_appended_total",
             "Frame bytes appended to the write-ahead log.",
         )
+        self._appended: dict[str, Any] = {}  # the counter's children, by kind
 
         self.last_seq = 0
         self._sealed: list[SegmentInfo] = []
@@ -312,28 +325,51 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
 
     def append(self, record: dict) -> int:
-        """Frame and append one record; returns its assigned ``seq``.
+        """Append one record given as values (``kind`` among them, ``seq``
+        not: it is the log's to assign); returns its assigned ``seq``."""
+        if "seq" in record:
+            raise ValueError("seq is the log's to assign")
+        body = _dumps(record).encode("utf-8")
+        return self._append(str(record.get("kind", "?")), b'{"seq":%d,', body)
 
-        The caller's dict is not mutated; ``seq`` is stamped into a copy.
-        The frame reaches the OS before this method returns (unbuffered
-        write); whether it reaches the *disk* is the fsync policy's call.
-        """
+    def append_line(self, kind: str, line: bytes) -> int:
+        """Append a ``hello``/``measurement``/``request`` as the wire line
+        the peer sent; returns its assigned ``seq``.  ``decode_message``
+        accepted ``line``, so it is the text of a JSON object with no
+        ``seq`` or ``kind`` member: no logged message class declares one."""
+        if kind not in _LINE_HEAD:
+            raise ValueError(f"not a logged kind: {kind!r}")
+        return self._append(kind, _LINE_HEAD[kind], line.strip())
+
+    def _append(self, kind: str, head: bytes, body: bytes) -> int:
+        """Splice ``head`` onto ``body`` minus its opening brace, frame it
+        and write it.  The frame reaches the OS before this returns
+        (unbuffered write); whether it reaches the *disk* is the fsync
+        policy's call."""
+        members = body[1:]
+        if body[:1] != b"{" or body[-1:] != b"}" or members.lstrip()[:1] == b"}":
+            raise ValueError(f"not the text of a non-empty JSON object: {body[:40]!r}")
         seq = self.last_seq + 1
-        stamped = dict(record)
-        stamped["seq"] = seq
-        frame = encode_frame(stamped)
+        frame = encode_frame(head % seq + members)
         fh = self._ensure_active(seq)
-        fh.write(frame)
+        try:
+            if fh.write(frame) != len(frame):
+                raise OSError(f"short write of a {len(frame)}-byte WAL frame")
+        except OSError:
+            self._seal_torn()
+            raise
         self.last_seq = seq
         self._active_records += 1
         self._active_bytes += len(frame)
         self._pending_sync += 1
-        self._obs_appends.labels(kind=str(stamped.get("kind", "?"))).inc()
+        if kind not in self._appended:
+            self._appended[kind] = self._obs_appends.labels(kind=kind)
+        self._appended[kind].inc()
         self._obs_bytes.inc(len(frame))
         if self.fsync == "always" or (
             self.fsync == "batch" and self._pending_sync >= self.batch_every
         ):
-            self._fsync_active()
+            self.sync()
         if self._should_rotate():
             self.rotate()
         return seq
@@ -344,8 +380,9 @@ class WriteAheadLog:
             self._next_index += 1
             # buffering=0: every write goes straight to the OS, so a
             # killed process never loses an acknowledged append.
-            self._fh = open(path, "ab", buffering=0)
-            self._fh.write(SEGMENT_MAGIC)
+            fh = open(path, "ab", buffering=0)
+            fh.write(SEGMENT_MAGIC)
+            self._fh = fh  # only behind its magic: a failed write above leaves none
             self._active_path = path
             self._active_first_seq = first_seq
             self._active_records = 0
@@ -373,18 +410,23 @@ class WriteAheadLog:
             return True
         return False
 
-    def _fsync_active(self) -> None:
-        if self._fh is not None and self._pending_sync > 0:
-            fsync_file(self._fh.fileno())
-            self._obs_fsyncs.inc()
+    def _seal_torn(self) -> None:
+        """Part of a frame may be on disk: never append after it (the rule
+        reopening a directory applies).  The next append opens a fresh
+        segment and reuses the seq."""
+        self._active_bytes = self._active_path.stat().st_size
+        try:
+            self.rotate()
+        except OSError:  # the disk refuses the seal's fsync too: seal without it
             self._pending_sync = 0
+            self.rotate()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     def sync(self) -> None:
-        """Explicitly flush the active segment to disk (any policy)."""
+        """Flush the active segment to disk (any policy)."""
         if self._fh is not None and self._pending_sync > 0:
             fsync_file(self._fh.fileno())
             self._obs_fsyncs.inc()
@@ -400,7 +442,7 @@ class WriteAheadLog:
         if self._fh is None:
             return None
         if self.fsync != "off":
-            self._fsync_active()
+            self.sync()
         self._fh.close()
         self._fh = None
         assert self._active_path is not None
@@ -452,17 +494,6 @@ class WriteAheadLog:
             fsync_dir(self.directory)
         self._update_segment_gauge()
         return reclaimed
-
-    def truncate_through(self, seq: int) -> int:
-        """Delete sealed segments entirely covered by ``seq`` (their every
-        record has ``record_seq <= seq``); returns how many were deleted.
-
-        This is the snapshot contract: once a snapshot covers seq N, the
-        frames at or below N are redundant for recovery.
-        """
-        covered = [s for s in self._sealed if s.last_seq <= seq]
-        self.drop_segments(covered)
-        return len(covered)
 
     def _update_segment_gauge(self) -> None:
         count = len(self._sealed) + (1 if self._active_path is not None else 0)

@@ -273,14 +273,102 @@ class TestWriteAheadLog:
         wal.close()
         assert len(list(tmp_path.glob("wal-*.seg"))) == 1
 
-    def test_truncate_through_deletes_only_covered_segments(self, tmp_path):
-        wal = WriteAheadLog(tmp_path, max_segment_records=2)
-        for i in range(7):  # segments: [1,2] [3,4] [5,6] + active [7]
-            wal.append(measurement_record(i))
-        assert wal.truncate_through(4) == 2
+    @pytest.mark.parametrize("failure", ["short", "oserror"])
+    def test_a_failed_write_never_eats_its_neighbours(self, tmp_path, failure):
+        """A short or failed write seals the segment behind the torn bytes:
+        the next append opens a fresh one and reuses the seq."""
+
+        class FailsOnce:
+            def __init__(self, fh):
+                self.fh, self.armed = fh, True
+
+            def write(self, data):
+                if not self.armed:
+                    return self.fh.write(data)
+                self.armed = False
+                written = self.fh.write(data[: len(data) // 2])  # ENOSPC mid-frame
+                if failure == "oserror":
+                    raise OSError(28, "No space left on device")
+                return written
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+        wal = WriteAheadLog(tmp_path, fsync="off")
+        assert [wal.append(measurement_record(i)) for i in range(2)] == [1, 2]
+        torn_path = wal.active_path
+        wal._fh = FailsOnce(wal._fh)
+        with pytest.raises(OSError):
+            wal.append(measurement_record(2))
+        assert wal.last_seq == 2 and wal.active_path is None
+        assert [wal.append(measurement_record(i)) for i in range(2, 4)] == [3, 4]
+        assert wal.active_path != torn_path
         wal.close()
+        sealed = wal.sealed_segments()
+        assert [(s.first_seq, s.last_seq) for s in sealed] == [(1, 2), (3, 4)]
+        assert sealed[0].size_bytes == torn_path.stat().st_size
         result = read_wal(tmp_path)
-        assert [r["seq"] for r in result.records] == [5, 6, 7]
+        assert [r["rtt_ms"] for r in result.records] == [100.0, 101.0, 102.0, 103.0]
+        assert [r["seq"] for r in result.records] == [1, 2, 3, 4]
+        assert result.n_torn_segments == 1 and result.n_corrupt == 0
+        # ... and a reopened log agrees.
+        assert WriteAheadLog(tmp_path).last_seq == 4
+
+    def test_a_failed_first_write_leaves_no_segment(self, tmp_path):
+        wal = WriteAheadLog(tmp_path)
+        wal.append({"kind": "hello"})
+        wal.rotate()
+        wal._ensure_active(2)
+
+        class Full:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                raise OSError(28, "No space left on device")
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+        wal._fh = Full(wal._fh)
+        with pytest.raises(OSError):
+            wal.append({"kind": "hello"})
+        assert wal.append({"kind": "hello"}) == 2
+        wal.close()
+        assert len(list(tmp_path.glob("wal-*.seg"))) == 2
+        result = read_wal(tmp_path)
+        assert [r["seq"] for r in result.records] == [1, 2]
+        assert result.n_torn_segments == 0 and result.n_corrupt == 0
+
+    def test_a_failed_magic_write_is_not_appended_behind(self, tmp_path, monkeypatch):
+        """The handle is adopted only behind its magic: an ``ENOSPC`` there
+        must not leave later appends in a segment no reader can frame."""
+        from repro.store import wal as wal_module
+
+        class NoMagic:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                raise OSError(28, "No space left on device")
+
+        real_open, opened = open, []
+
+        def open_once_full(*args, **kwargs):
+            fh = real_open(*args, **kwargs)
+            opened.append(fh)
+            return NoMagic(fh) if len(opened) == 1 else fh
+
+        monkeypatch.setattr(wal_module, "open", open_once_full, raising=False)
+        wal = WriteAheadLog(tmp_path)
+        with pytest.raises(OSError):
+            wal.append({"kind": "hello"})
+        assert wal.last_seq == 0
+        assert wal.append({"kind": "hello"}) == 1
+        wal.close()
+        opened[0].close()
+        result = read_wal(tmp_path)
+        assert [r["seq"] for r in result.records] == [1] and result.n_corrupt == 0
 
     def test_metrics_appends_and_segments(self, tmp_path):
         registry = MetricsRegistry()
@@ -423,6 +511,19 @@ class TestStore:
         # Only the pass that deleted something counts.
         assert store.registry.get("via_store_compactions_total").value == 1
         store.close()
+
+    def test_compact_deletes_only_covered_segments(self, tmp_path):
+        """Ported from ``WriteAheadLog.truncate_through``: a covered seq in
+        the middle of the log, with an active segment still open."""
+        store = Store(tmp_path, StoreConfig(max_segment_records=2))
+        for i in range(7):  # segments: [1,2] [3,4] [5,6] + active [7]
+            store.wal.append(measurement_record(i))
+        write_snapshot_file(tmp_path, last_seq=4)
+        assert store.compact().n_segments == 2
+        assert store.wal.active_path is not None
+        store.close()
+        result = read_wal(tmp_path / "wal")
+        assert [r["seq"] for r in result.records] == [5, 6, 7]
 
     def test_compact_without_snapshot_is_noop(self, tmp_path):
         store = Store(tmp_path, StoreConfig(max_segment_records=2))

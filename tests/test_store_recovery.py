@@ -145,6 +145,38 @@ class TestCrashRecoveryEquivalence:
         assert report.n_replayed == 40 * 2 + len(SITES)
         assert_equivalent(recovered, twin)
 
+    def test_a_restart_parses_the_snapshot_once(self, tmp_path, monkeypatch):
+        """Opening the store reads the snapshot for its seq; the recovery
+        that follows is handed that payload, which is then dropped."""
+        from repro.store import facade
+
+        live = make_controller(tmp_path / "store")
+        drive(live, 20)
+        live.save_store_snapshot()
+        drive(live, 5, seed=8)
+        parsed = []
+
+        class CountingJson:  # the json module as store/facade.py alone sees it
+            JSONDecodeError = json.JSONDecodeError
+
+            @staticmethod
+            def loads(text):
+                parsed.append(len(text))
+                return json.loads(text)
+
+        monkeypatch.setattr(facade, "json", CountingJson)
+
+        store = Store(tmp_path / "store")
+        recovered = make_controller()
+        report = recover(store, recovered)
+        assert report.snapshot_outcome == "ok" and report.n_replayed == 5 * 2 + len(SITES)
+        assert len(parsed) == 1
+        assert store._opened_snapshot is None
+        # A later snapshot is what later readers see.
+        store.snapshot(recovered)
+        assert store.snapshot_seq() == store.wal.last_seq
+        assert len(parsed) == 2
+
     def test_crash_between_snapshot_and_segment_drop(self, tmp_path):
         """The snapshot rename landed, the covered segments were never
         deleted: recovery must skip them and the next compaction must
