@@ -47,24 +47,14 @@ def recording_enabled() -> bool:
     return os.environ.get("REPRO_BENCH_RECORD", "").strip() == "1"
 
 
-def record_bench_json(
-    area: str, benchmark_name: str, payload: dict, *, section: str | None = None
-) -> Path | None:
-    """Commit a structured perf baseline: ``BENCH_<area>.json`` at the repo root.
+def record_bench_json(area: str, benchmark_name: str, payload: dict) -> Path | None:
+    """Commit a quality record: ``BENCH_<area>.json`` at the repo root.
 
     Only writes under ``REPRO_BENCH_RECORD=1``; returns the written path
-    (or None when recording is off).  The convention (documented in
-    ``docs/performance.md``): each entry is a JSON object with a
-    ``benchmark`` id, a ``recorded_at`` date, and the benchmark's own
-    structured summary -- for the hot-path bench that means calls/sec,
-    per-call p50/p99 and peak RSS per path, plus the speedup ratio that
-    ``scripts/ci_check.py`` guards against regression.
-
-    Without ``section`` the entry *is* the file (one benchmark owns the
-    area).  With ``section`` the entry is merged in under that key, so
-    several benchmarks can share one area file (``BENCH_deployment.json``
-    holds both the overload ladder and the sharded fleet) and re-recording
-    one of them leaves the others' baselines intact.
+    (or None when recording is off).  The file is one JSON object -- a
+    ``benchmark`` id, a ``recorded_at`` date and the benchmark's own
+    structured summary -- and one benchmark owns it.  Nothing gates on
+    these files; ``perf/`` owns speed (``docs/performance.md``).
     """
     if not recording_enabled():
         return None
@@ -74,22 +64,8 @@ def record_bench_json(
         "recorded_at": time.strftime("%Y-%m-%d", time.gmtime()),
         **payload,
     }
-    if section is None:
-        body = entry
-    else:
-        body = {}
-        if path.exists():
-            try:
-                existing = json.loads(path.read_text(encoding="utf-8"))
-            except ValueError:
-                existing = None
-            # Only a sectioned file can be merged into; a legacy
-            # whole-file baseline (has its own "benchmark" id) is replaced.
-            if isinstance(existing, dict) and "benchmark" not in existing:
-                body = existing
-        body[section] = entry
-    path.write_text(json.dumps(body, indent=2) + "\n", encoding="utf-8")
-    print(f"recorded perf baseline -> {path.name}")
+    path.write_text(json.dumps(entry, indent=2) + "\n", encoding="utf-8")
+    print(f"recorded quality baseline -> {path.name}")
     return path
 
 
@@ -99,14 +75,5 @@ def once(benchmark, fn):
     The experiments replay tens of thousands of calls; statistical timing
     repetition is meaningless and expensive, so each bench is a single
     measured round.
-
-    Set ``REPRO_PROFILE=1`` to additionally run the experiment body under
-    cProfile and print the hot functions (see ``repro.obs.profiling``).
     """
-    from repro.obs.profiling import maybe_profiled
-
-    def run():
-        with maybe_profiled(label=getattr(fn, "__qualname__", "experiment")):
-            return fn()
-
-    return benchmark.pedantic(run, rounds=1, iterations=1)
+    return benchmark.pedantic(fn, rounds=1, iterations=1)

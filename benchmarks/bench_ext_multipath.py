@@ -15,9 +15,8 @@ and compares, through one ``run_grid`` over registry-name specs:
 Scored on mean RTT of the delivered stream, the outage-window
 degradation ratio, and dead/degraded assignment counts.  Duplication
 spends 2x relay bandwidth -- the honest cost of its outage immunity
-(``docs/policies.md`` discusses the trade-off).  Recorded as the
-``multipath`` section of ``BENCH_core.json`` under
-``REPRO_BENCH_RECORD=1``.
+(``docs/policies.md`` discusses the trade-off).  Recorded to
+``BENCH_multipath.json`` under ``REPRO_BENCH_RECORD=1``.
 """
 
 from __future__ import annotations
@@ -153,6 +152,5 @@ def test_ext_multipath_outage(benchmark):
         ),
     }
     record_bench_json(
-        "core", "bench_ext_multipath::test_ext_multipath_outage", payload,
-        section="multipath",
+        "multipath", "bench_ext_multipath::test_ext_multipath_outage", payload
     )

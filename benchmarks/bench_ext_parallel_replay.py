@@ -23,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from _util import emit, once, record_bench_json
+from _util import emit, once
 from repro.netmodel import TopologyConfig, WorldConfig, build_world
 from repro.simulation import (
     ReplayTask,
@@ -129,51 +129,3 @@ def test_parallel_replay_speedup_and_identity(benchmark):
             f"expected >=3x speedup at {PARALLEL_WORKERS} workers on "
             f"{n_cores} cores, got {speedup:.2f}x"
         )
-
-
-@pytest.mark.benchmark(group="ext-parallel")
-def test_vector_hot_path_speedup(benchmark):
-    """Per-worker hot path: chunked ``assign_many``/``observe_many`` vs the
-    scalar loop, on the shared microbench workload (see
-    ``repro.simulation.microbench``).  The PR 7 target: >= 10x calls/sec.
-    With ``REPRO_BENCH_RECORD=1`` the structured summary becomes the
-    committed ``BENCH_core.json`` baseline that ``make check`` diffs
-    against (fail on >20% speedup regression)."""
-    from repro.simulation.microbench import hot_path_microbench
-
-    result = once(benchmark, hot_path_microbench)
-
-    w = result["workload"]
-    rows = [
-        (
-            f"{path:>7}: {result[path]['calls_per_sec']:>10,.0f} calls/s  "
-            f"p50 {result[path]['p50_us_per_call']:>7.2f} us/call  "
-            f"p99 {result[path]['p99_us_per_call']:>7.2f} us/call  "
-            f"total {result[path]['total_s']:>6.2f} s"
-        )
-        for path in ("scalar", "vector")
-    ]
-    emit(
-        "vector_hot_path",
-        "\n".join(
-            [
-                f"workload: {w['n_calls']} calls, {w['n_asns']} ASes, "
-                f"{w['n_options']} options/call, chunk={w['chunk']}, "
-                f"best of {w['best_of']}",
-                *rows,
-                f"speedup: {result['speedup']:.2f}x "
-                f"(peak RSS {result['peak_rss_kb'] / 1024:.0f} MiB)",
-            ]
-        ),
-    )
-
-    assert result["speedup"] >= 10.0, (
-        f"vector hot path must be >= 10x the scalar loop, "
-        f"got {result['speedup']:.2f}x"
-    )
-    record_bench_json(
-        "core",
-        "bench_ext_parallel_replay::test_vector_hot_path_speedup",
-        result,
-        section="hot_path",
-    )

@@ -20,7 +20,11 @@ the docs cannot silently rot as the code moves:
 * metric series — every ``via_*`` series a ``counter``/``gauge``/
   ``histogram`` call under ``src/`` registers by string literal must
   appear in one of the catalogue pages (:data:`SERIES_DOCS`), and every
-  ``via_*`` series those pages' tables list must be registered.
+  ``via_*`` series those pages' tables list must be registered;
+* environment knobs — every ``REPRO_*`` name the docs mention must be
+  read by some ``os.environ``/``os.getenv`` access (by string literal)
+  under :data:`ENV_READERS`, or expanded by the Makefile, so a deleted
+  knob cannot linger in the docs.
 
 Exit status 0 when every reference resolves; 1 otherwise, listing each
 dangling reference with its file and line.
@@ -80,6 +84,10 @@ MAKE_RE = re.compile(r"^make\s+([A-Za-z][\w-]*)")
 SERIES_RE = re.compile(r"\bvia_[a-z0-9_]+\b")
 #: The series a catalogue table row documents: first cell, backticked.
 SERIES_ROW_RE = re.compile(r"^\|\s*`(via_[a-z0-9_]+)")
+#: An environment knob name.
+ENV_RE = re.compile(r"\bREPRO_[A-Z_]+\b")
+#: The trees whose ``os.environ`` reads make a documented knob real.
+ENV_READERS = ("src", "benchmarks", "tests", "scripts")
 
 
 def _make_targets() -> set[str]:
@@ -133,7 +141,7 @@ def _path_exists(token: str, doc_dir: Path) -> bool:
 
 
 def check_file(
-    path: Path, classes: dict[str, list[type]], make_targets: set[str]
+    path: Path, classes: dict[str, list[type]], make_targets: set[str], env_vars: set[str]
 ) -> list[str]:
     problems: list[str] = []
     doc_dir = path.parent
@@ -148,6 +156,12 @@ def check_file(
                 continue
             if not _path_exists(target, doc_dir):
                 problems.append(f"{rel}:{lineno}: dangling link target `{target}`")
+        problems.extend(
+            f"{rel}:{lineno}: `{knob}` is read by no os.environ access under "
+            f"{', '.join(ENV_READERS)} or the Makefile"
+            for knob in ENV_RE.findall(line)
+            if knob not in env_vars
+        )
         for span in BACKTICK_RE.findall(line):
             token = span.strip().split("(")[0]
             node = NODE_RE.match(span.strip())
@@ -215,10 +229,52 @@ def check_series() -> list[str]:
     return problems
 
 
+def _is_environ(node: ast.AST) -> bool:
+    """Is ``node`` the expression ``os.environ``?"""
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "environ"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "os"
+    )
+
+
+def read_env_vars() -> set[str]:
+    """``REPRO_*`` names read by string literal under :data:`ENV_READERS`
+    (``os.environ.get``, ``os.getenv``, ``os.environ[...]``, ``... in
+    os.environ``) or expanded by the Makefile (``$(NAME)``)."""
+    makefile = (REPO_ROOT / "Makefile").read_text(encoding="utf-8")
+    names = set(re.findall(r"\$[({](REPRO_[A-Z_]+)[)}]", makefile))
+    for tree in ENV_READERS:
+        for path in sorted((REPO_ROOT / tree).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                match node:
+                    case ast.Call(
+                        func=ast.Attribute(value=env, attr="get"),
+                        args=[ast.Constant(value=str(name)), *_],
+                    ) if _is_environ(env):
+                        names.add(name)
+                    case ast.Call(
+                        func=ast.Attribute(value=ast.Name(id="os"), attr="getenv"),
+                        args=[ast.Constant(value=str(name)), *_],
+                    ):
+                        names.add(name)
+                    case ast.Subscript(
+                        value=env, slice=ast.Constant(value=str(name)), ctx=ast.Load()
+                    ) if _is_environ(env):
+                        names.add(name)
+                    case ast.Compare(
+                        left=ast.Constant(value=str(name)), ops=[ast.In()], comparators=[env]
+                    ) if _is_environ(env):
+                        names.add(name)
+    return names
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     classes = _class_index()
     make_targets = _make_targets()
+    env_vars = read_env_vars()
     problems: list[str] = []
     n_checked = 0
     for name in doc_files():
@@ -227,7 +283,7 @@ def main() -> int:
             problems.append(f"{name}: listed in DOC_FILES but missing")
             continue
         n_checked += 1
-        problems.extend(check_file(path, classes, make_targets))
+        problems.extend(check_file(path, classes, make_targets, env_vars))
     problems.extend(check_series())
     if problems:
         print(f"docs-check: {len(problems)} dangling reference(s):")

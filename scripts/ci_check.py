@@ -11,33 +11,28 @@ Runs, in order, failing fast:
    line coverage over ``src/repro/verify/`` must clear
    :data:`COVERAGE_FLOOR`.  A verification gate whose own code stops
    running is worse than none — it green-lights silently;
-4. the vector hot-path regression gate: a reduced
-   :func:`repro.simulation.microbench.hot_path_microbench` run whose
-   scalar-vs-vector speedup must stay within
-   :data:`BENCH_REGRESSION_TOLERANCE` of the committed ``BENCH_core.json``
-   baseline (recorded by ``make bench-record``) — a >20% regression on
-   the batch assignment path fails the build;
-5. a 2-shard controller-ring smoke: hello (shard map discovery) →
+4. a 2-shard controller-ring smoke: hello (shard map discovery) →
    routed measurements → a gossip round replicating the fleet history →
    a WAL-recovered failover that catches up via gossip.  The full suite
    is ``make test-shard``; this leg just proves the ring wires up end to
    end in the gate environment;
-6. the registry-completeness lint: every concrete policy class in
+5. the registry-completeness lint: every concrete policy class in
    ``src/repro/core/`` must be reachable through
    :data:`repro.core.registry.REGISTRY`, every entry must build on a tiny
    world, ``PolicySpec`` round-trips through the registry, and every
    ``supports_checkpoint`` entry round-trips its ``state_dict``;
-7. a smoke-budget chaos soak (:func:`repro.soak.run_soak`): the full
+6. a smoke-budget chaos soak (:func:`repro.soak.run_soak`): the full
    operational lifecycle — WAL rotation, snapshots, compaction, crash +
    recover with fingerprint equivalence — under seed-derived chaos, with
    the resource-trend watchdogs armed.  The hours-long run is
    ``repro soak --budget full``; this leg proves the harness itself and
    catches gross leaks in under a minute;
-8. the repo benchmark at smoke scale (``make perf-smoke``), after three
+7. the repo benchmark at smoke scale (``make perf-smoke``), after four
    same-process ratio checks (the wire codec's shape; ``World.sample_call``
    under half its reference composition, streams equal; a WAL append of
    a validated wire line under half ``Store.log_request`` of the same
-   values): the
+   values; ``assign_many``/``observe_many`` under a fifth of the scalar
+   loop on the same chunks, streams equal): the
    ``perf/`` harness self-tests, then one second of every
    ``BENCHMARK.json`` workload -- the build fails when any workload's
    correctness checks fail (speed is judged by the benchmark driver,
@@ -53,7 +48,6 @@ dependencies.  Denominators come from each file's compiled code objects
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
@@ -69,13 +63,6 @@ VERIFY_SRC = REPO_ROOT / "src" / "repro" / "verify"
 #: small-budget run must execute.  Error/failure branches legitimately
 #: stay cold on a passing run; everything else must be warm.
 COVERAGE_FLOOR = 0.65
-
-#: The committed hot-path perf baseline (``make bench-record``).
-BENCH_BASELINE = REPO_ROOT / "BENCH_core.json"
-
-#: The measured scalar-vs-vector speedup must stay above this fraction of
-#: the committed baseline's: 0.8 = "fail the build on a >20% regression".
-BENCH_REGRESSION_TOLERANCE = 0.8
 
 
 def _run(step: str, argv: list[str], env: dict[str, str]) -> bool:
@@ -166,46 +153,6 @@ def _verify_with_coverage() -> bool:
         print("ci-check: FAILED at verify-coverage "
               f"({ratio:.1%} < {COVERAGE_FLOOR:.0%}: the gate is not "
               "actually exercising the verification plane)")
-        return False
-    return True
-
-
-def _bench_regression_gate() -> bool:
-    """The hot-path perf gate: measured speedup vs the committed baseline.
-
-    Runs a reduced-size microbench (same workload shape, a third of the
-    calls) so the gate costs seconds, and compares *speedup ratios* --
-    machine-relative, so a slower CI box doesn't trip it; only the vector
-    path losing ground against the scalar path on the same machine does.
-    """
-    print("== bench: vector hot-path regression gate", flush=True)
-    if not BENCH_BASELINE.exists():
-        print(
-            "ci-check: FAILED at bench (committed baseline "
-            f"{BENCH_BASELINE.name} missing; record one with `make bench-record`)"
-        )
-        return False
-    baseline = json.loads(BENCH_BASELINE.read_text(encoding="utf-8"))
-    # Sectioned layout ({"hot_path": {...}, "multipath": {...}}); fall
-    # back to the pre-section whole-file layout for old baselines.
-    baseline = baseline.get("hot_path", baseline)
-    base_speedup = float(baseline["speedup"])
-    from repro.simulation.microbench import MicrobenchConfig, hot_path_microbench
-
-    measured = hot_path_microbench(MicrobenchConfig(n_calls=20_000, best_of=2))
-    floor = BENCH_REGRESSION_TOLERANCE * base_speedup
-    print(
-        f"  baseline {base_speedup:.2f}x ({baseline.get('recorded_at', '?')}), "
-        f"measured {measured['speedup']:.2f}x "
-        f"({measured['vector']['calls_per_sec']:,.0f} vector calls/s), "
-        f"floor {floor:.2f}x"
-    )
-    if measured["speedup"] < floor:
-        print(
-            "ci-check: FAILED at bench-regression "
-            f"({measured['speedup']:.2f}x < {floor:.2f}x: the vector hot "
-            "path regressed >20% against BENCH_core.json)"
-        )
         return False
     return True
 
@@ -443,9 +390,9 @@ def _codec_ratios() -> bool:
         encode_option,
     )
     from repro.netmodel.options import OptionKind, RelayOption
-    from repro.simulation.microbench import MicrobenchConfig, _options
+    from tests.vector_stream import options
 
-    menu = [encode_option(option) for option in _options(MicrobenchConfig())]
+    menu = [encode_option(option) for option in options()]
     request = RequestMessage(17, 42, 36.0, menu, corr_id=123456)
     line = encode_message(request)
     warm = menu[-1]
@@ -545,10 +492,10 @@ def _wal_ratio() -> bool:
         encode_message,
         encode_option,
     )
-    from repro.simulation.microbench import MicrobenchConfig, _options
     from repro.store import Store, StoreConfig
+    from tests.vector_stream import options
 
-    menu = [encode_option(option) for option in _options(MicrobenchConfig())]
+    menu = [encode_option(option) for option in options()]
     request = encode_message(RequestMessage(17, 42, 36.0, menu, corr_id=123456))
     measured = (17, 42, 36.0, menu[5], 187.25, 0.002, 3.0)
     measurement = encode_message(MeasurementMessage(*measured, corr_id=123457))
@@ -578,10 +525,75 @@ def _wal_ratio() -> bool:
     return True
 
 
+def _vector_ratio() -> bool:
+    """The columnar policy path against the scalar loop it must equal:
+    each chunk assigned call by call and then observed, against
+    ``assign_many``/``observe_many`` of the same chunk, on a fresh
+    ``ViaPolicy`` per run -- the same stream, in under a fifth of the
+    time, in the form of :func:`_sampler_ratio`."""
+    print("== perf: assign_many/observe_many vs the scalar loop", flush=True)
+    import timeit
+
+    from repro.core.policy import ViaConfig, ViaPolicy
+    from repro.core.vector import CallBatch, MetricsBatch
+    from repro.obs.metrics import MetricsRegistry
+    from tests.vector_stream import inter_relay, make_stream
+
+    calls, options_per_call, metrics = make_stream(n_calls=20_000)
+    chunks = [(i, min(i + 2000, len(calls))) for i in range(0, len(calls), 2000)]
+    metrics_batches = [MetricsBatch.from_metrics(metrics[i0:i1]) for i0, i1 in chunks]
+
+    def fresh() -> ViaPolicy:
+        return ViaPolicy(ViaConfig(seed=2016), inter_relay=inter_relay, registry=MetricsRegistry())
+
+    def scalar(policy):
+        chosen = []
+        for i0, i1 in chunks:
+            choices = [policy.assign(calls[i], options_per_call[i]) for i in range(i0, i1)]
+            for i, option in zip(range(i0, i1), choices):
+                policy.observe(calls[i], option, metrics[i])
+            chosen += choices
+        return chosen
+
+    def vector(policy):
+        chosen = []
+        for (i0, i1), rows in zip(chunks, metrics_batches):
+            batch = CallBatch.from_calls(calls[i0:i1])
+            choices = policy.assign_many(batch, options_per_call[i0:i1])
+            policy.observe_many(batch, choices, rows)
+            chosen += choices
+        return chosen
+
+    ours, theirs = fresh(), fresh()
+    if vector(ours) != scalar(theirs) or (
+        ours._rng.bit_generator.state != theirs._rng.bit_generator.state
+        or ours.state_dict() != theirs.state_dict()
+    ):
+        print("ci-check: FAILED at vector-ratio (assign_many/observe_many and "
+              "the scalar loop produced different streams)")
+        return False
+
+    def runs(fn) -> list[float]:
+        return [t * 1e3 for t in timeit.repeat(lambda: fn(fresh()), number=1, repeat=5)]
+
+    slow, fast = runs(scalar), runs(vector)
+    print(
+        f"  assign_many/observe_many {min(fast):.1f} ms vs scalar loop {min(slow):.1f} ms "
+        f"({min(fast) / min(slow):.3f}x, limit 0.2x), streams equal over {len(calls)} "
+        f"calls; runs (ms) vector {' / '.join(f'{t:.1f}' for t in fast)}, "
+        f"scalar {' / '.join(f'{t:.1f}' for t in slow)}"
+    )
+    if min(fast) >= 0.2 * min(slow):
+        print("ci-check: FAILED at vector-ratio (a batch costs a fifth of the "
+              "scalar loop or more: is assign_many looping the scalar body?)")
+        return False
+    return True
+
+
 def _perf_smoke(env: dict[str, str]) -> bool:
     """The repo benchmark's correctness checks (``make perf-smoke``), after
-    the codec, sampler and WAL ratio checks."""
-    if not _codec_ratios() or not _sampler_ratio() or not _wal_ratio():
+    the codec, sampler, WAL and vector ratio checks."""
+    if not (_codec_ratios() and _sampler_ratio() and _wal_ratio() and _vector_ratio()):
         return False
     steps = (
         ("perf self-tests", [sys.executable, "-m", "pytest", "perf/tests", "-q"]),
@@ -607,13 +619,12 @@ def main() -> int:
     for step, argv in steps:
         if not _run(step, argv, env):
             return 1
-    # The repo root too: the sampler leg times ``tests.sampler_reference``.
+    # The repo root too: the ratio legs import ``tests.sampler_reference``
+    # and ``tests.vector_stream``.
     sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
+    # First: every later leg imports repro.* directly, and the traced
+    # verify leg requires repro.verify to be un-imported.
     if not _verify_with_coverage():
-        return 1
-    # The bench gate imports repro.* directly, so it must run after the
-    # traced verify leg (which requires repro.verify to be un-imported).
-    if not _bench_regression_gate():
         return 1
     if not _shard_smoke():
         return 1
@@ -624,8 +635,8 @@ def main() -> int:
     if not _perf_smoke(env):
         return 1
     print(
-        "ci-check: OK (docs, tier-1, verify + coverage floor, bench gate, "
-        "shard smoke, registry lint, soak smoke, perf smoke)"
+        "ci-check: OK (docs, tier-1, verify + coverage floor, shard smoke, "
+        "registry lint, soak smoke, ratio legs + perf smoke)"
     )
     return 0
 

@@ -153,8 +153,8 @@ class CallHistory:
     """
 
     def __init__(self, window_hours: float = 24.0) -> None:
-        if window_hours <= 0.0:
-            raise ValueError(f"window_hours must be > 0: {window_hours}")
+        if not 0.0 < window_hours < math.inf:
+            raise ValueError(f"window_hours must be finite and > 0: {window_hours}")
         self.window_hours = window_hours
         self._windows: dict[int, dict[HistoryKey, RunningStat]] = {}
 
@@ -354,10 +354,10 @@ def _stat_from_entry(entry: dict, where: str) -> RunningStat:
         m2 = np.asarray(entry["m2"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"corrupt history entry at {where}: {exc!r}") from exc
-    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+    if type(count) is not int or not 0 <= count < 2**63:
         raise ValueError(
             f"corrupt history entry at {where}: count must be a non-negative "
-            f"integer, got {count!r}"
+            f"64-bit integer, got {count!r}"
         )
     if mean.shape != (_N_METRICS,) or m2.shape != (_N_METRICS,):
         raise ValueError(
@@ -369,6 +369,8 @@ def _stat_from_entry(entry: dict, where: str) -> RunningStat:
         raise ValueError(f"corrupt history entry at {where}: non-finite mean/m2")
     if (m2 < 0.0).any():
         raise ValueError(f"corrupt history entry at {where}: negative m2")
+    if (mean < 0.0).any():
+        raise ValueError(f"corrupt history entry at {where}: negative mean")
     stat = RunningStat()
     stat.count = count
     stat._mean = mean
@@ -379,24 +381,30 @@ def _stat_from_entry(entry: dict, where: str) -> RunningStat:
 def history_from_dict(data: dict) -> CallHistory:
     """Rebuild a :class:`CallHistory` from :func:`history_to_dict` output.
 
-    Raises :class:`ValueError` on corrupt entries (negative counts,
-    non-finite moments, wrong-length mean/m2 vectors) rather than loading
-    state that would quietly break every later SEM computation.
+    The payload is a checkpoint read from disk or a gossip peer's ``sync``
+    frame, so any malformed shape raises :class:`ValueError` and nothing
+    else: corrupt entries (negative counts or means, non-finite moments,
+    wrong-length mean/m2 vectors) as well as a missing key, a non-finite
+    ``window_hours`` or the wrong container anywhere in the tree.  Loading
+    such state would quietly break every later SEM computation.
     """
-    history = CallHistory(window_hours=float(data["window_hours"]))
-    for window_str, entries in data["windows"].items():
-        try:
-            window = int(window_str)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"corrupt history window index: {window_str!r}") from exc
-        bucket = history._windows.setdefault(window, {})
-        for i, entry in enumerate(entries):
-            where = f"window {window}, entry {i}"
+    try:
+        history = CallHistory(window_hours=float(data["window_hours"]))
+        for window_str, entries in data["windows"].items():
             try:
-                pair = entry["pair"]
-                pair_key = (_decode_key(pair[0]), _decode_key(pair[1]))
-                option = option_from_dict(entry["option"])
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
-                raise ValueError(f"corrupt history entry at {where}: {exc!r}") from exc
-            bucket[(pair_key, option)] = _stat_from_entry(entry, where)
+                window = int(window_str)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"corrupt history window index: {window_str!r}") from exc
+            bucket = history._windows.setdefault(window, {})
+            for i, entry in enumerate(entries):
+                where = f"window {window}, entry {i}"
+                try:
+                    pair = entry["pair"]
+                    pair_key = (_decode_key(pair[0]), _decode_key(pair[1]))
+                    option = option_from_dict(entry["option"])
+                except (KeyError, IndexError, TypeError, ValueError) as exc:
+                    raise ValueError(f"corrupt history entry at {where}: {exc!r}") from exc
+                bucket[(pair_key, option)] = _stat_from_entry(entry, where)
+    except (LookupError, TypeError, AttributeError, ArithmeticError) as exc:
+        raise ValueError(f"corrupt history payload: {exc!r}") from exc
     return history

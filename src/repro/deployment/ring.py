@@ -61,7 +61,6 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.core.history import CallHistory, history_from_dict, history_to_dict
-from repro.core.keys import PairKeyer
 from repro.core.policy import ViaConfig
 from repro.core.sharding import stable_shard_of
 from repro.deployment.client import AsyncViaClient, RedirectError
@@ -142,14 +141,26 @@ class ShardMap:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ShardMap":
-        try:
-            return cls(
-                version=int(data["version"]),
-                shards=tuple((str(h), int(p)) for h, p in data["shards"]),
+    def from_dict(cls, data: Any) -> "ShardMap":
+        """Parse a map a peer sent.  Types are exact -- ``1e999``, ``True``
+        or ``"3"`` is not a version, ``2.7`` not a port -- and every
+        rejection is a ``ValueError``, the one type the handlers catch."""
+        version = data.get("version") if isinstance(data, dict) else None
+        shards = data.get("shards") if isinstance(data, dict) else None
+        if not (
+            type(version) is int  # bool is an int subclass, not a version
+            and isinstance(shards, list)
+            and all(
+                isinstance(shard, list)
+                and len(shard) == 2
+                and isinstance(shard[0], str)
+                and type(shard[1]) is int
+                and 1 <= shard[1] <= 65535
+                for shard in shards
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad shard map payload: {data!r}") from exc
+        ):
+            raise ValueError(f"bad shard map payload: {data!r}")
+        return cls(version=version, shards=tuple((host, port) for host, port in shards))
 
 
 class ShardController(ViaController):
@@ -321,8 +332,7 @@ class ShardController(ViaController):
             src_user=message.src_id,
             dst_user=message.dst_id,
         )
-        keyer: PairKeyer = getattr(self.policy, "_keyer", None) or PairKeyer("as")
-        view = keyer.view(call)
+        view = self.policy._keyer.view(call)
         option = view.normalize(decode_option(message.option))
         self.local_history.add(view.pair_key, option, message.t_hours, message.metrics())
 
@@ -349,7 +359,7 @@ class ShardController(ViaController):
         return self._shard_map.to_dict() if self._shard_map is not None else None
 
     def _sync_replies(self, message: SyncRequestMessage) -> list[Any]:
-        scope = getattr(message, "scope", "local")
+        scope = message.scope
         if scope == "local":
             history = self.local_history
         elif scope == "merged":
@@ -483,7 +493,7 @@ class ShardController(ViaController):
         try:
             writer.write(encode_message(SyncRequestMessage(scope="local")))
             await writer.drain()
-            history: CallHistory | None = None
+            history = CallHistory(window_hours=self.local_history.window_hours)
             while True:
                 line = await asyncio.wait_for(
                     reader.readline(), timeout=self.gossip_timeout_s
@@ -492,8 +502,9 @@ class ShardController(ViaController):
                     raise ConnectionError("peer closed mid-sync")
                 message = decode_message(line)
                 if isinstance(message, SyncMessage):
-                    chunk = history_from_dict(message.history)
-                    history = chunk if history is None else history.merge(chunk)
+                    # A malformed chunk, or one on another window width,
+                    # is a ValueError here: this peer fails, the round goes on.
+                    history.merge(history_from_dict(message.history))
                     if message.last:
                         return history
                 elif isinstance(message, ErrorMessage):

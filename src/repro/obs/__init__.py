@@ -10,8 +10,7 @@ deliberately dependency-free (stdlib only):
   Prometheus text exposition format,
 * :mod:`repro.obs.tracing` -- nested wall-time spans
   (``with trace("assign"): ...``) exported through a bounded ring buffer,
-* :mod:`repro.obs.profiling` -- the ``@timed`` histogram decorator and a
-  cProfile harness for benchmarks,
+* :mod:`repro.obs.profiling` -- the ``@timed`` histogram decorator,
 * :mod:`repro.obs.runtime` -- the global enable/disable switch; everything
   gated on it costs one flag check when off.
 
@@ -38,7 +37,7 @@ from repro.obs.metrics import (
     REGISTRY,
     DEFAULT_LATENCY_BUCKETS,
 )
-from repro.obs.profiling import maybe_profiled, profiled, timed
+from repro.obs.profiling import timed
 from repro.obs.runtime import disable, enable, enabled_scope
 from repro.obs.tracing import Span, TRACER, Tracer, trace
 
@@ -55,8 +54,6 @@ __all__ = [
     "TRACER",
     "trace",
     "timed",
-    "profiled",
-    "maybe_profiled",
     "enable",
     "disable",
     "enabled_scope",

@@ -1,4 +1,4 @@
-"""Profiling hooks: ``@timed`` histogram feeds and a cProfile harness.
+"""Profiling hook: ``@timed`` histogram feeds.
 
 ``@timed`` is the low-ceremony instrument for functions that matter but do
 not deserve hand-written spans: it feeds a latency histogram on the
@@ -9,32 +9,22 @@ when observability is disabled::
     def predict_all(self, ...):
         ...
 
-``profiled`` wraps a code region in :mod:`cProfile` for the benchmarks --
-the registry tells you *that* a stage is slow, the profile tells you
-*why*.  Benchmarks can opt in without code changes by exporting
-``REPRO_PROFILE=1`` and calling :func:`maybe_profiled` (see
-``benchmarks/_util.py``).
+The registry tells you *that* a stage is slow; for *why*, run the code
+under cProfile (``docs/performance.md``, *Where speed is measured*).
 """
 
 from __future__ import annotations
 
-import cProfile
-import os
-import pstats
-from contextlib import contextmanager, nullcontext
 from functools import wraps
 from time import perf_counter
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, TypeVar
 
 from repro.obs import runtime
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 
-__all__ = ["timed", "profiled", "maybe_profiled", "PROFILE_ENV_VAR"]
+__all__ = ["timed"]
 
 F = TypeVar("F", bound=Callable[..., Any])
-
-#: Set to a truthy value to turn :func:`maybe_profiled` regions on.
-PROFILE_ENV_VAR = "REPRO_PROFILE"
 
 
 def timed(
@@ -66,44 +56,3 @@ def timed(
         return wrapper  # type: ignore[return-value]
 
     return decorate
-
-
-@contextmanager
-def profiled(
-    *,
-    sort: str = "cumulative",
-    top: int = 25,
-    print_to: Any | None = None,
-) -> Iterator[cProfile.Profile]:
-    """Run the enclosed block under :mod:`cProfile`.
-
-    Yields the live profiler; on exit, a ``pstats`` summary (top ``top``
-    entries by ``sort``) is written to ``print_to`` (default: stdout).
-    Pass ``print_to=io.StringIO()`` to capture instead of print.
-    """
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        yield profiler
-    finally:
-        profiler.disable()
-        if print_to is not None:
-            stats = pstats.Stats(profiler, stream=print_to)
-        else:
-            stats = pstats.Stats(profiler)  # pstats defaults to stdout
-        stats.sort_stats(sort).print_stats(top)
-
-
-def maybe_profiled(label: str = ""):
-    """``profiled()`` when ``REPRO_PROFILE`` is set, else a null context.
-
-    The benchmark harness wraps each experiment body in this, so any
-    bench can be profiled ad hoc::
-
-        REPRO_PROFILE=1 pytest benchmarks/bench_fig12_via_improvement.py --benchmark-only
-    """
-    if os.environ.get(PROFILE_ENV_VAR, "").strip() not in ("", "0", "false"):
-        if label:
-            print(f"\n--- cProfile: {label} ---")
-        return profiled()
-    return nullcontext()

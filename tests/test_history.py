@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,49 @@ from repro.netmodel.options import DIRECT, RelayOption
 
 def metrics(rtt: float, loss: float = 0.01, jitter: float = 5.0) -> PathMetrics:
     return PathMetrics(rtt_ms=rtt, loss_rate=loss, jitter_ms=jitter)
+
+
+#: Anything ``json.loads`` can hand a parser, including ``1e999``/``-1e999``.
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.just(10**400)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _slots(node) -> list:
+    """Every (container, key) of a JSON tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    slots = []
+    for key, child in items:
+        slots.append((node, key))
+        slots.extend(_slots(child))
+    return slots
+
+
+@st.composite
+def _mutated_checkpoints(draw):
+    """A valid two-window checkpoint with one to three nodes replaced."""
+    history = CallHistory()
+    history.add((1, 2), DIRECT, 1.0, metrics(100.0))
+    history.add((1, 2), DIRECT, 1.5, metrics(120.0))
+    history.add(((3, 4), "x"), RelayOption.transit(1, 2), 30.0, metrics(80.0))
+    payload = json.loads(json.dumps(history_to_dict(history)))
+    for _ in range(draw(st.integers(1, 3))):
+        container, key = draw(st.sampled_from(_slots(payload)))
+        container[key] = draw(_json_values)
+    return payload
 
 
 class TestRunningStat:
@@ -240,3 +285,54 @@ class TestCheckpointValidation:
         data["windows"]["0"][1]["count"] = -1
         with pytest.raises(ValueError, match="window 0, entry 1"):
             history_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"windows": {}},
+            {"window_hours": [1], "windows": {}},
+            {"window_hours": 24.0, "windows": []},
+            {"window_hours": 24.0, "windows": {"0": 5}},
+            {"window_hours": float("inf"), "windows": {}},
+            {"window_hours": "nan", "windows": {}},
+            {"window_hours": 10**400, "windows": {}},
+            [],
+        ],
+        ids=[
+            "missing-window-hours", "window-hours-list", "windows-list",
+            "entries-int", "infinite-window", "nan-window", "huge-window", "not-a-dict",
+        ],
+    )
+    def test_hostile_payload_shapes_are_value_errors(self, payload):
+        """A gossip peer's sync payload is parsed by the same function: the
+        wrong container anywhere is a ValueError, never KeyError/TypeError/
+        AttributeError escaping the caller's handler."""
+        with pytest.raises(ValueError):
+            history_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("count", 10**400), ("count", True), ("mean", [10**400, 0.0, 0.0]),
+         ("mean", [-1.0, 0.0, 0.0])],
+        ids=["huge-count", "bool-count", "huge-mean", "negative-mean"],
+    )
+    def test_unusable_aggregates_rejected(self, field, value):
+        data = self._checkpoint()
+        data["windows"]["0"][0][field] = value
+        with pytest.raises(ValueError):
+            history_from_dict(data)
+
+    @given(payload=st.one_of(_json_values, _mutated_checkpoints()))
+    def test_hostile_payload_gives_value_error_or_usable_history(self, payload):
+        try:
+            history = history_from_dict(payload)
+        except ValueError:
+            return
+        twin = CallHistory(window_hours=history.window_hours).merge(history)
+        assert twin.total_calls() == history.total_calls()
+        for window in history.windows():
+            for _key, stat in history.window_items(window):
+                assert np.isfinite(stat.sem()).all()
+                stat.mean_metrics()
+        reloaded = history_from_dict(json.loads(json.dumps(history_to_dict(history))))
+        assert reloaded.total_calls() == history.total_calls()

@@ -24,6 +24,8 @@ from repro.deployment.protocol import (
     HelloMessage,
     RedirectMessage,
     RequestMessage,
+    StatsMessage,
+    StatsRequestMessage,
     SyncMessage,
     SyncRequestMessage,
     decode_message,
@@ -352,6 +354,58 @@ class TestGossip:
 
         run(scenario())
 
+    @pytest.mark.parametrize(
+        "history",
+        [
+            '{"windows": {}}',
+            '{"window_hours": [1], "windows": {}}',
+            '{"window_hours": 24.0, "windows": []}',
+            '{"window_hours": 24.0, "windows": {"0": 5}}',
+            '{"window_hours": 1e999, "windows": {}}',
+            '{"window_hours": 12.0, "windows": {}}',
+        ],
+        ids=[
+            "missing-window-hours", "window-hours-list", "windows-list",
+            "entries-int", "infinite-window", "other-window-width",
+        ],
+    )
+    def test_hostile_peer_fails_alone(self, poll_until, history):
+        """One peer answering ``sync_request`` with a hostile payload is one
+        failed exchange; the honest peer is still folded."""
+
+        async def hostile(reader, writer):
+            await reader.readline()
+            writer.write(
+                b'{"type": "sync", "shard": 2, "seq": 0, "last": true, '
+                b'"history": ' + history.encode() + b"}\n"
+            )
+            await writer.drain()
+            writer.close()
+
+        async def scenario():
+            async with InProcessRing(3, ViaConfig(seed=1)) as ring:
+                await self._seed_measurements(ring, poll_until)
+                shard, honest = ring.shards[0], ring.shards[1]
+                expected = (
+                    shard.local_history.total_calls() + honest.local_history.total_calls()
+                )
+                server = await asyncio.start_server(hostile, "127.0.0.1", 0)
+                try:
+                    fake = server.sockets[0].getsockname()[:2]
+                    shard._shard_map = ShardMap(
+                        version=ring.shard_map.version,
+                        shards=(*ring.shard_map.shards[:2], fake),
+                    )
+                    assert await shard.gossip_now() == 1
+                finally:
+                    server.close()
+                    await server.wait_closed()
+                assert shard._obs_gossip_exchanges.value_for(outcome="error") == 1
+                assert shard._obs_gossip_exchanges.value_for(outcome="ok") == 1
+                assert shard.policy.history.total_calls() == expected
+
+        run(scenario())
+
     def test_sync_chunks_large_histories(self, poll_until):
         async def scenario():
             async with InProcessRing(
@@ -411,6 +465,60 @@ class TestShardSnapshots:
     def test_rejects_bad_shard_index(self):
         with pytest.raises(ValueError):
             ShardController(ViaConfig(), shard_index=2, n_shards=2)
+
+
+#: ``shard_map`` payloads a hostile peer can send, as raw JSON so ``1e999``
+#: reaches the parser as written.  Each has the receiving shard's shard
+#: count and a version newer than any map it holds.
+HOSTILE_MAPS = {
+    "infinite-version": '{"version": 1e999, "shards": [["h", 1], ["h", 2]]}',
+    "bool-version": '{"version": true, "shards": [["h", 1], ["h", 2]]}',
+    "string-version": '{"version": "3", "shards": [["h", 1], ["h", 2]]}',
+    "float-version": '{"version": 2.7, "shards": [["h", 1], ["h", 2]]}',
+    "shapeless-shards": '{"version": 3, "shards": [["x"], -5]}',
+    "string-ports": '{"version": 3, "shards": [["h", "1"], ["h", "2"]]}',
+    "infinite-port": '{"version": 3, "shards": [["h", 1e999], ["h", 2]]}',
+    "bool-port": '{"version": 3, "shards": [["h", true], ["h", 2]]}',
+    "port-out-of-range": '{"version": 3, "shards": [["h", 70000], ["h", 2]]}',
+    "int-host": '{"version": 3, "shards": [[7, 1], ["h", 2]]}',
+}
+
+
+class TestHostilePeerFrames:
+    @pytest.mark.parametrize("protocol", [1, 2])
+    @pytest.mark.parametrize("payload", HOSTILE_MAPS.values(), ids=HOSTILE_MAPS.keys())
+    def test_bad_shard_map_frame_leaves_connection_and_map(self, payload, protocol):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            unhandled = []
+            loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
+            shard = ShardController(
+                ViaConfig(seed=1), shard_index=0, n_shards=2, gossip_on_map_update=False
+            )
+            async with shard:
+                reader, writer = await asyncio.open_connection("127.0.0.1", shard.port)
+                writer.write(
+                    encode_message(HelloMessage(client_id=1, site="US", protocol=protocol))
+                )
+                if protocol == 2:
+                    await asyncio.wait_for(reader.readline(), timeout=10.0)
+                writer.write(f'{{"type": "shard_map", "shard_map": {payload}}}\n'.encode())
+                writer.write(encode_message(StatsRequestMessage()))
+                await writer.drain()
+                reply = await asyncio.wait_for(reader.readline(), timeout=10.0)
+                assert isinstance(decode_message(reply), StatsMessage)
+                assert shard.shard_map is None
+                writer.close()
+            assert unhandled == []
+
+        run(scenario())
+
+    @pytest.mark.parametrize("payload", HOSTILE_MAPS.values(), ids=HOSTILE_MAPS.keys())
+    def test_client_keeps_its_map_on_a_bad_redirect_map(self, payload):
+        client = ShardedViaClient(1, "US", "127.0.0.1", 1)
+        client.shard_map = ShardMap(version=2, shards=(("h", 1), ("h", 2)))
+        client._learn_map(json.loads(payload))
+        assert client.shard_map == ShardMap(version=2, shards=(("h", 1), ("h", 2)))
 
 
 @pytest.mark.slow

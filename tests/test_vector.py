@@ -30,9 +30,9 @@ from repro.core.vector import CallBatch, MetricsBatch, epsilon_explorations
 from repro.netmodel.metrics import PathMetrics
 from repro.netmodel.options import DIRECT, RelayOption
 from repro.obs.metrics import MetricsRegistry
-from repro.simulation.microbench import MicrobenchConfig, _inter_relay, _make_stream
 from repro.simulation.replay import replay
 from repro.verify.differential import VectorizedViaPolicy, run_differential
+from tests.vector_stream import inter_relay, make_stream
 
 pytestmark = pytest.mark.vector
 
@@ -231,13 +231,11 @@ def test_epsilon_explorations_across_block_boundaries(seed):
 
 
 def _small_stream(n_calls=600):
-    return _make_stream(
-        MicrobenchConfig(n_calls=n_calls, n_asns=3, n_bounce=4, chunk=50, seed=9)
-    )
+    return make_stream(n_calls=n_calls, n_asns=3, n_bounce=4, seed=9)
 
 
 def _policy(config, cls=ViaPolicy):
-    return cls(config, inter_relay=_inter_relay, registry=MetricsRegistry())
+    return cls(config, inter_relay=inter_relay, registry=MetricsRegistry())
 
 
 @pytest.mark.parametrize(
