@@ -38,9 +38,10 @@ test-parallel:
 
 # Vectorized hot path: batch-vs-scalar equivalence property tests
 # (assign_many/observe_many against the scalar oracle, columnar layers,
-# batched replay) -- see docs/performance.md.
+# batched replay), and the scalar path's float/cached pieces against
+# their array forms -- see docs/performance.md.
 test-vector:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_vector.py -m vector
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_vector.py tests/test_scalar_path.py -m vector
 
 # Multipath relaying subsystem: path-set algebra, combined-reward bound
 # properties, the bandit-over-path-pairs policy, and the chaos replay

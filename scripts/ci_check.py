@@ -31,8 +31,9 @@ Runs, in order, failing fast:
    same-process ratio checks (the wire codec's shape; ``World.sample_call``
    under half its reference composition, streams equal; a WAL append of
    a validated wire line under half ``Store.log_request`` of the same
-   values; ``assign_many``/``observe_many`` under a fifth of the scalar
-   loop on the same chunks, streams equal): the
+   values; ``assign_many``/``observe_many`` under
+   :data:`VECTOR_RATIO_LIMIT` of the scalar loop on the same chunks,
+   streams equal): the
    ``perf/`` harness self-tests, then one second of every
    ``BENCHMARK.json`` workload -- the build fails when any workload's
    correctness checks fail (speed is judged by the benchmark driver,
@@ -525,12 +526,21 @@ def _wal_ratio() -> bool:
     return True
 
 
+#: ``_vector_ratio``'s limit.  It sits between the two readings it must
+#: tell apart (``docs/performance.md``): the columnar path runs at ~0.27x
+#: the scalar loop, and a batch that falls back to looping the scalar body
+#: (``_vector_assign_eligible`` false) reads ~0.62x -- a fallback still
+#: beats the loop, because ``observe_many`` stays columnar.
+VECTOR_RATIO_LIMIT = 0.45
+
+
 def _vector_ratio() -> bool:
     """The columnar policy path against the scalar loop it must equal:
     each chunk assigned call by call and then observed, against
     ``assign_many``/``observe_many`` of the same chunk, on a fresh
-    ``ViaPolicy`` per run -- the same stream, in under a fifth of the
-    time, in the form of :func:`_sampler_ratio`."""
+    ``ViaPolicy`` per run -- the same stream, under
+    :data:`VECTOR_RATIO_LIMIT` of the time, in the form of
+    :func:`_sampler_ratio`."""
     print("== perf: assign_many/observe_many vs the scalar loop", flush=True)
     import timeit
 
@@ -579,13 +589,13 @@ def _vector_ratio() -> bool:
     slow, fast = runs(scalar), runs(vector)
     print(
         f"  assign_many/observe_many {min(fast):.1f} ms vs scalar loop {min(slow):.1f} ms "
-        f"({min(fast) / min(slow):.3f}x, limit 0.2x), streams equal over {len(calls)} "
-        f"calls; runs (ms) vector {' / '.join(f'{t:.1f}' for t in fast)}, "
+        f"({min(fast) / min(slow):.3f}x, limit {VECTOR_RATIO_LIMIT}x), streams equal "
+        f"over {len(calls)} calls; runs (ms) vector {' / '.join(f'{t:.1f}' for t in fast)}, "
         f"scalar {' / '.join(f'{t:.1f}' for t in slow)}"
     )
-    if min(fast) >= 0.2 * min(slow):
-        print("ci-check: FAILED at vector-ratio (a batch costs a fifth of the "
-              "scalar loop or more: is assign_many looping the scalar body?)")
+    if min(fast) >= VECTOR_RATIO_LIMIT * min(slow):
+        print(f"ci-check: FAILED at vector-ratio (a batch costs {VECTOR_RATIO_LIMIT}x "
+              "the scalar loop or more: is assign_many looping the scalar body?)")
         return False
     return True
 

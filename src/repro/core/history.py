@@ -39,13 +39,29 @@ class RunningStat:
         self._m2 = np.zeros(_N_METRICS)
 
     def push(self, metrics: PathMetrics) -> None:
-        """Fold one call's (rtt, loss, jitter) into the aggregate."""
-        values = (metrics.rtt_ms, metrics.loss_rate, metrics.jitter_ms)
-        self.count += 1
-        for i in range(_N_METRICS):
-            delta = values[i] - self._mean[i]
-            self._mean[i] += delta / self.count
-            self._m2[i] += delta * (values[i] - self._mean[i])
+        """Fold one call's (rtt, loss, jitter) into the aggregate.
+
+        Welford's update, one metric at a time, on unboxed Python floats
+        (the per-row form of :meth:`push_many`).
+        """
+        count = self.count + 1
+        mean, m2 = self._mean, self._m2
+        m_r, m_l, m_j = mean.tolist()
+        s_r, s_l, s_j = m2.tolist()
+        r, l, j = metrics.rtt_ms, metrics.loss_rate, metrics.jitter_ms
+        d = r - m_r
+        m_r += d / count
+        s_r += d * (r - m_r)
+        d = l - m_l
+        m_l += d / count
+        s_l += d * (l - m_l)
+        d = j - m_j
+        m_j += d / count
+        s_j += d * (j - m_j)
+        self.count = count
+        # Item writes in place: cheaper than building two new arrays.
+        mean[0], mean[1], mean[2] = m_r, m_l, m_j
+        m2[0], m2[1], m2[2] = s_r, s_l, s_j
 
     def push_many(self, values: np.ndarray) -> None:
         """Fold many (rtt, loss, jitter) rows, bit-identical to ``push``.

@@ -102,8 +102,9 @@ class HybridReactivePolicy(ViaPolicy):
         if period != self._period:
             self._refresh(period)
         view = self._keyer.view(call)
-        norm_options = [view.normalize(o) for o in options]
-        state = self._state_for(view.pair_key, call.direct_blocked, norm_options)
+        state, _ = self._state_for(
+            view.pair_key, call.direct_blocked, options, view.flipped
+        )
         candidates = state.topk[: self.probe_top_n]
         if len(candidates) < 2:
             return None

@@ -19,6 +19,7 @@ solved in the linearised ``-log(1 - loss)`` domain (§4.4 / [12]).
 
 from __future__ import annotations
 
+from math import sqrt
 from typing import Callable, Hashable, Iterable
 
 import numpy as np
@@ -155,34 +156,43 @@ class TomographyModel:
         Returns ``None`` for direct paths or when either segment estimate
         is missing.  Means come back as (rtt_ms, loss_rate, jitter_ms);
         loss is converted out of the linearised domain after stitching.
+
+        The stitch runs on Python floats, per metric, in the order the
+        array form ``(seg_s + seg_d + inter)`` and ``sqrt(sem_s**2 +
+        sem_d**2)`` would evaluate: IEEE add, multiply and square root
+        round identically in both, so the result is the same bits.
         """
         if option.kind is OptionKind.DIRECT:
             return None
+        ingress = option.ingress
         if option.kind is OptionKind.BOUNCE:
-            assert option.ingress is not None
-            seg_s = self._estimates.get((side_s, option.ingress))
-            seg_d = self._estimates.get((side_d, option.ingress))
-            sem_s = self._sems.get((side_s, option.ingress))
-            sem_d = self._sems.get((side_d, option.ingress))
-            inter_vec = np.zeros(3)
+            assert ingress is not None
+            egress = ingress
         else:
-            assert option.ingress is not None and option.egress is not None
-            seg_s = self._estimates.get((side_s, option.ingress))
-            seg_d = self._estimates.get((side_d, option.egress))
-            sem_s = self._sems.get((side_s, option.ingress))
-            sem_d = self._sems.get((side_d, option.egress))
-            inter = self._inter_relay(option.ingress, option.egress)
-            inter_vec = np.array(
-                [inter.rtt_ms, loss_to_linear(inter.loss_rate), inter.jitter_ms]
-            )
+            egress = option.egress
+            assert ingress is not None and egress is not None
+        key_s, key_d = (side_s, ingress), (side_d, egress)
+        seg_s = self._estimates.get(key_s)
+        seg_d = self._estimates.get(key_d)
         if seg_s is None or seg_d is None:
             return None
-        assert sem_s is not None and sem_d is not None
-        linear_mean = seg_s + seg_d + inter_vec
+        if option.kind is OptionKind.BOUNCE:
+            i_r = i_l = i_j = 0.0
+        else:
+            inter = self._inter_relay(ingress, egress)
+            i_r, i_l, i_j = inter.rtt_ms, loss_to_linear(inter.loss_rate), inter.jitter_ms
+        s_r, s_l, s_j = seg_s.tolist()
+        d_r, d_l, d_j = seg_d.tolist()
+        e_r, e_l, e_j = self._sems[key_s].tolist()
+        f_r, f_l, f_j = self._sems[key_d].tolist()
         mean = np.array(
-            [linear_mean[0], linear_to_loss(float(linear_mean[1])), linear_mean[2]]
+            (s_r + d_r + i_r, linear_to_loss(s_l + d_l + i_l), s_j + d_j + i_j)
         )
-        sem = np.sqrt(sem_s**2 + sem_d**2)
         # The loss SEM was estimated in the linearised domain; for small
         # losses d(loss)/d(linear) ~ 1, so reuse it directly.
+        sem = np.array((
+            sqrt(e_r * e_r + f_r * f_r),
+            sqrt(e_l * e_l + f_l * f_l),
+            sqrt(e_j * e_j + f_j * f_j),
+        ))
         return mean, sem
