@@ -282,9 +282,11 @@ _PINNED = {
         "via", {}, 2000, True, False,
         ("3417dc5b079864fd", 1500, 0, 0, 788, 0),
     ),
+    # Re-pinned when the load-cap diversion learned to skip down relays:
+    # its 35 dead assignments went to 0.
     "via-gated": (
         "via", {"budget": 0.3, "per_relay_cap": 0.15}, 1, True, False,
-        ("5203a1671dca1537", 1500, 35, 0, 788, 0),
+        ("ab7a768e2d01018b", 1500, 0, 0, 788, 0),
     ),
     "default-b64": (
         "default", {}, 64, True, False,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.policy import ViaConfig, ViaPolicy
 from repro.deployment import (
@@ -332,6 +333,62 @@ class TestPolicyOutageRepick:
         policy.set_down_relays({0, 1})
         choice = policy.assign(make_call(call_id=100, t_hours=24.1), OPTIONS)
         assert choice in OPTIONS  # nothing alive: degrade, don't crash
+
+    @given(
+        st.lists(st.sets(st.integers(1, 16), max_size=14), min_size=1, max_size=4),
+        st.floats(0.05, 0.5),
+        st.sampled_from([1.0, 0.6, 0.3]),
+        st.integers(0, 2**16),
+    )
+    def test_outages_outrank_the_load_cap_and_the_budget(self, down_sets, cap, budget, seed):
+        """An assigned option rides a down relay only when every offered
+        option does, whatever the load cap and budget say."""
+        assert dead_assignments(ViaPolicy, down_sets, cap, budget, seed) == []
+
+    def test_a_cap_diversion_onto_a_down_relay_fails_it(self):
+        down_sets = [{1, 2, 3, 4, 5, 6, 7, 8}, {2, 4, 6, 8, 10, 12, 14, 16}]
+        assert dead_assignments(_DivertIgnoringOutages, down_sets, 0.08, 1.0, seed=3)
+
+
+class _DivertIgnoringOutages(ViaPolicy):
+    """The load-cap diversion that walks top-k without looking at outages."""
+
+    def _divert_overloaded(self, state, norm_options, choice):
+        for candidate in state.topk:
+            if candidate == choice:
+                continue
+            if not candidate.is_relayed or not self._load_tracker.would_exceed(candidate):
+                return candidate
+        return self._fallback(state.options)
+
+
+def dead_assignments(policy_type, down_sets, cap, budget, seed) -> list[tuple]:
+    """Assign and observe a three-day stream (NAT-blocked calls included),
+    moving through ``down_sets`` in equal spans; return every call placed
+    on a down relay while some offered option was up."""
+    from tests.vector_stream import inter_relay, make_stream
+
+    calls, menus, rows = make_stream(
+        n_calls=360, seed=seed, frac_direct_blocked=0.3, t_span_hours=36.0
+    )
+    policy = policy_type(
+        ViaConfig(seed=seed, budget=budget, per_relay_cap=cap, per_relay_window=100),
+        inter_relay=inter_relay,
+    )
+    span = -(-len(calls) // len(down_sets))
+    dead = []
+    for i, (call, menu, row) in enumerate(zip(calls, menus, rows)):
+        down = down_sets[i // span]
+        policy.set_down_relays(down)
+        choice = policy.assign(call, menu)
+
+        def is_down(option):
+            return any(r in down for r in option.relay_ids())
+
+        if is_down(choice) and not all(map(is_down, menu)):
+            dead.append((i, str(choice), sorted(down)))
+        policy.observe(call, choice, row)
+    return dead
 
 
 class TestWorldOutages:
