@@ -426,8 +426,6 @@ class ViaServer:
         service_s = perf_counter() - t0
         self.admission.observe_service(service_s)
         controller._observe_seconds("request", service_s)
-        if reply is None:
-            return
         await self._send_reply(conn, reply, message.corr_id)
 
     # ------------------------------------------------------------------
@@ -446,9 +444,7 @@ class ViaServer:
                 conn, ShedMessage(reason=reason or "overload", corr_id=message.corr_id)
             )
             return
-        reply = self.controller._default_reply(message)
-        if reply is not None:
-            await self._send_reply(conn, reply, message.corr_id)
+        await self._send_reply(conn, self.controller._default_reply(message), message.corr_id)
 
     async def _send_reply(
         self, conn: _Connection, reply: Any, corr_id: int | None

@@ -48,15 +48,15 @@ from repro.deployment.protocol import (
     HelloMessage,
     MeasurementMessage,
     MetricsMessage,
-    ProtocolError,
     RequestMessage,
     ResilienceMessage,
     StatsMessage,
-    check_options,
+    WireMenu,
     decode_option,
     encode_message,
     encode_option,
 )
+from repro.netmodel.options import RelayOption
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import timed
 from repro.store import Store, recover
@@ -141,7 +141,7 @@ class ViaController:
         self._client_resilience: dict[int, ResilienceMessage] = {}
         #: Last served assignment per (src, dst): the stale-but-instant
         #: state the degrade rung of the admission ladder answers from.
-        self._assign_cache: dict[tuple[int, int], dict[str, Any]] = {}
+        self._assign_cache: dict[tuple[int, int], RelayOption] = {}
         self.faults = FaultInjector(faults) if faults is not None else None
         self.admission = AdmissionController(admission, registry=self.registry)
         self._frontend: ViaServer | None = None
@@ -434,21 +434,31 @@ class ViaController:
             # restored controller's future choices identical.
             self._log("request", line, message)
         call = self._call_from(message.src_id, message.dst_id, message.t_hours)
-        options = [decode_option(o) for o in message.options]
-        choice = self.policy.assign(call, options)
-        encoded = encode_option(choice)
-        self._assign_cache[(message.src_id, message.dst_id)] = encoded
-        return AssignMessage(option=encoded, corr_id=message.corr_id)
+        choice = self.policy.assign(call, self._offered(message))
+        self._assign_cache[(message.src_id, message.dst_id)] = choice
+        return AssignMessage(option=encode_option(choice), corr_id=message.corr_id)
+
+    @staticmethod
+    def _offered(message: RequestMessage) -> list[RelayOption]:
+        """A request's menu as options: the ones decode_message took from
+        its menu table, else decoded here (a table miss, WAL replay, an
+        in-process caller)."""
+        menu = message.options
+        if type(menu) is WireMenu:
+            # A list: the policy's warm-menu check compares lists.
+            return list(menu.options)
+        return [decode_option(o) for o in menu]
 
     def cached_assignment(self, message: RequestMessage) -> AssignMessage | None:
         """The degrade rung: the pair's last assignment, if it is still
-        among the offered options.  Touches no policy state and consumes
-        no policy RNG, so degraded serving never perturbs the admitted
+        among the offered options (compared as options, so either spelling
+        of direct matches).  Touches no policy state and consumes no
+        policy RNG, so degraded serving never perturbs the admitted
         stream's determinism."""
         cached = self._assign_cache.get((message.src_id, message.dst_id))
-        if cached is None or cached not in message.options:
+        if cached is None or cached not in self._offered(message):
             return None
-        return AssignMessage(option=cached, corr_id=message.corr_id)
+        return AssignMessage(option=encode_option(cached), corr_id=message.corr_id)
 
     # ------------------------------------------------------------------
     # Durable store bridging (WAL replay + snapshots)
@@ -504,15 +514,11 @@ class ViaController:
         return self.store.snapshot(self)
 
     @staticmethod
-    def _default_reply(message: RequestMessage) -> AssignMessage | None:
+    def _default_reply(message: RequestMessage) -> AssignMessage:
         """Best-effort reply when the policy blew up or the request was
         shed for a v1 peer: the default path if offered, else the first
-        candidate; None when nothing usable was offered (the client's own
-        timeout/fallback machinery takes over)."""
-        try:
-            check_options(message.options)
-        except ProtocolError:
-            return None
+        candidate.  ``message`` came through decode_message, so its menu
+        is a non-empty list of checked option objects."""
         for option_data in message.options:
             if option_data.get("kind") == "direct":
                 return AssignMessage(option=option_data, corr_id=message.corr_id)

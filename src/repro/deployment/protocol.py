@@ -41,6 +41,13 @@ Option objects repeat on every call (a pair's menu is the same 21 dicts
 each time), so :func:`decode_option` interns them: the first sight of an
 option is shape-checked and constructed, later sights are one dict probe
 returning the shared frozen instance (see :data:`OPTION_INTERN_MAX`).
+Whole menus repeat too, so :func:`decode_message` keeps a bounded **menu
+table** from the exact JSON text of a request's ``options`` array to that
+menu, already checked and interned (a :class:`WireMenu`): a request whose
+menu it has seen skips parsing and checking those 21 objects, and the
+decoded message hands the policy its :class:`RelayOption` tuple (see
+:data:`MENU_INTERN_MAX`).  What a line decodes to never depends on the
+table: it is ``json.loads`` plus the field checks either way.
 """
 
 from __future__ import annotations
@@ -77,11 +84,12 @@ __all__ = [
     "decode_message",
     "encode_option",
     "decode_option",
-    "check_options",
     "check_measurement",
     "WireField",
+    "WireMenu",
     "WIRE_TYPES",
     "OPTION_INTERN_MAX",
+    "MENU_INTERN_MAX",
     "read_wire_line",
     "ProtocolError",
     "OversizedLineError",
@@ -131,6 +139,15 @@ class OversizedLineError(ProtocolError):
 #: so a peer sending endless distinct relay ids cannot grow the process.
 OPTION_INTERN_MAX = 8192
 
+#: Most characters of menu text the menu table holds, summed over its
+#: keys: about 1,100 menus of 21 options.  Counted in text because a parsed
+#: menu costs at most ~20 bytes per character of its text whatever its
+#: shape (so ~20 MB in all), where one menu can be a whole 64 KB line.  The
+#: first menu that does not fit closes the table; past it a request still
+#: decodes exactly as it would with no table (parsed and checked per call),
+#: so a peer sending endless distinct menus cannot grow the process.
+MENU_INTERN_MAX = 1 << 20
+
 # Keyed on the field *types* as well as the values: True == 1 == 1.0 and
 # all three hash alike, so a (kind, ingress, egress) key alone would let a
 # bool or float id hit the entry cached for the integer.
@@ -176,6 +193,87 @@ def _intern_option(data: Any) -> RelayOption:
     if len(_interned_options) < OPTION_INTERN_MAX:
         _interned_options[kind, ingress, egress, type(ingress), type(egress)] = option
     return option
+
+
+class WireMenu(list):
+    """A request's ``options`` as decoded: the option objects, plus
+    ``options``, the :class:`RelayOption` each decodes to, in order.
+
+    Building one decodes every item, so a ``WireMenu`` is a checked menu
+    by construction: the ``list[WireOption]`` wire type accepts it
+    without looking inside.  Its option objects are the menu table's own
+    dicts; read them, do not mutate them."""
+
+    __slots__ = ("options",)
+
+    def __init__(self, items: Any = (), options: tuple[RelayOption, ...] | None = None):
+        super().__init__(items)
+        self.options = tuple(map(decode_option, self)) if options is None else options
+
+
+# The menu table: a request ``options`` array's exact JSON text -> that
+# menu, checked and interned.  Entries are built from the key text alone.
+_menus: dict[str, WireMenu] = {}
+#: Characters of the keys in ``_menus``; MENU_INTERN_MAX once it is closed.
+_menus_held = 0
+_OPTIONS_AT = '"options":['
+# A JSON number no encoder writes (it underflows to -0.0): stands in for a
+# known menu while the rest of the line is parsed.
+_HOLE = "-0.0e-99999"
+_HOLE_VALUE = object()
+_decode_with_hole = json.JSONDecoder(
+    parse_float=lambda text: _HOLE_VALUE if text == _HOLE else float(text)
+).decode
+
+
+def _load(line: str) -> Any:
+    """``json.loads(line)``, taking a request's menu from the menu table
+    when the table holds its text instead of parsing it again.
+
+    The line is parsed with the menu's text replaced by :data:`_HOLE`; the
+    table's menu is used only if that parse put the hole at the top-level
+    ``options`` -- an escaped or nested ``"options"``, a duplicate key or a
+    hole the peer wrote itself never does -- and anything else is
+    ``json.loads(line)``, so the result is the same value either way."""
+    start = line.find(_OPTIONS_AT)
+    if start < 0:
+        return json.loads(line)
+    start += len(_OPTIONS_AT) - 1
+    end = line.find("]", start) + 1
+    key = line[start:end]
+    menu = _menus.get(key)
+    if menu is None:
+        if _menus_held < MENU_INTERN_MAX:
+            _remember_menu(key)
+        return json.loads(line)
+    if _HOLE not in line:
+        try:
+            payload = _decode_with_hole(line[:start] + _HOLE + line[end:])
+        except (ValueError, RecursionError):
+            pass
+        else:
+            if type(payload) is dict and payload.get("options") is _HOLE_VALUE:
+                # A fresh list per message: none shares one with the table.
+                payload["options"] = WireMenu(menu, menu.options)
+                return payload
+    return json.loads(line)
+
+
+def _remember_menu(key: str) -> None:
+    """Add ``key`` to the menu table if its text alone is a valid menu and
+    fits; close the table if it does not fit."""
+    global _menus_held
+    try:
+        items = json.loads(key)
+    except (ValueError, RecursionError):
+        return
+    if not _is_menu(items):
+        return
+    if _menus_held + len(key) > MENU_INTERN_MAX:
+        _menus_held = MENU_INTERN_MAX
+        return
+    _menus[key] = WireMenu(items)
+    _menus_held += len(key)
 
 
 # ----------------------------------------------------------------------
@@ -229,6 +327,8 @@ def _is_option(value: Any) -> bool:
 def _is_menu(value: Any) -> bool:
     # Non-empty: the policy cannot choose from no options, and by the time
     # it says so the request is in the WAL.
+    if type(value) is WireMenu:
+        return bool(value)  # its items were decoded when it was built
     if not isinstance(value, list) or not value:
         return False
     interned = _interned_options
@@ -258,14 +358,6 @@ WIRE_TYPES: dict[str, Callable[[Any], bool]] = {
     "WireOption": _is_option,
     "list[WireOption]": _is_menu,
 }
-
-
-def check_options(options: Any) -> None:
-    """Reject a request's ``options`` unless it is a non-empty list of
-    option objects :func:`decode_option` accepts -- the ``list[WireOption]``
-    wire type, for callers holding a value rather than a line."""
-    if not _is_menu(options):
-        raise ProtocolError(f"options must be a list of option objects: {options!r:.80}")
 
 
 def check_measurement(message: "MeasurementMessage") -> None:
@@ -652,7 +744,7 @@ def decode_message(line: bytes | str) -> Message:
             if len(line) > MAX_LINE_BYTES:
                 raise OversizedLineError(f"line exceeds {MAX_LINE_BYTES} bytes")
             line = line.decode("utf-8", errors="strict")
-        payload = json.loads(line)
+        payload = _load(line)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: a few thousand nested "[" fit in one line.
         raise ProtocolError(f"not valid JSON: {line[:80]!r}") from exc

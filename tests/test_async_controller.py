@@ -28,9 +28,14 @@ from repro.deployment import (
     ViaController,
 )
 from repro.deployment import TestbedClient as AgentClient
-from repro.deployment.protocol import RequestMessage
+from repro.deployment.protocol import (
+    AssignMessage,
+    ProtocolError,
+    decode_message,
+    encode_option,
+)
 from repro.netmodel.metrics import PathMetrics
-from repro.netmodel.options import RelayOption
+from repro.netmodel.options import DIRECT, RelayOption
 
 pytestmark = pytest.mark.asyncio
 
@@ -51,6 +56,11 @@ def run(coro):
 
 def wire(obj: dict) -> bytes:
     return (json.dumps(obj) + "\n").encode("utf-8")
+
+
+def compact(obj: dict) -> bytes:
+    """``obj`` as ``encode_message`` writes it (no spaces)."""
+    return (json.dumps(obj, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 async def raw_connect(port: int):
@@ -157,6 +167,25 @@ def request_payload(corr_id: int | None, t_hours: float = 0.1) -> dict:
     if corr_id is not None:
         payload["corr_id"] = corr_id
     return payload
+
+
+def bare_direct_request(corr_id: int) -> dict:
+    """A request offering only direct, spelled without relay ids."""
+    return {**request_payload(corr_id), "options": [{"kind": "direct"}]}
+
+
+def assert_degrades_bare_direct(cached_assignment) -> None:
+    """After serving direct to a client that spells it ``{"kind":"direct"}``,
+    ``cached_assignment`` answers that client's next request from the
+    cache -- decoded off the menu table (spaced JSON) and on it."""
+    controller = ViaController(ViaConfig(seed=4))
+    line = compact(bare_direct_request(7))
+    served = controller._on_request(decode_message(line))
+    assert served.option == encode_option(DIRECT)
+    for again in (wire(bare_direct_request(7)), line):
+        reply = cached_assignment(controller, decode_message(again))
+        assert reply is not None, "the degrade rung missed a cached direct"
+        assert (reply.option, reply.corr_id) == (encode_option(DIRECT), 7)
 
 
 class TestProtocolNegotiation:
@@ -548,9 +577,24 @@ class TestHostileClients:
         assert not [r for r in caplog.records if r.levelname == "ERROR"], caplog.text
 
     def test_default_reply_never_raises_on_a_decoded_request(self):
+        # A hostile menu never becomes a message, so it never reaches the
+        # default reply: both of its callers hold a decoded request.
         for options in HOSTILE_OPTIONS:
-            message = RequestMessage(src_id=0, dst_id=1, t_hours=0.0, options=options)
-            assert ViaController._default_reply(message) is None
+            with pytest.raises(ProtocolError):
+                decode_message(wire({**request_payload(7), "options": options}))
+        direct = {"kind": "direct"}
+        relayed = request_payload(7)["options"]
+        for options, expected in [
+            (relayed, relayed[0]),
+            ([*relayed, direct], direct),
+            ([*relayed, encode_option(DIRECT)], encode_option(DIRECT)),
+        ]:
+            payload = {**request_payload(7), "options": options}
+            # Spaced JSON misses the menu table; compact JSON hits it on
+            # the second decode.
+            for line in (wire(payload), compact(payload), compact(payload)):
+                reply = ViaController._default_reply(decode_message(line))
+                assert (reply.option, reply.corr_id) == (expected, 7)
 
     def test_slow_loris_is_disconnected_by_idle_timeout(self):
         async def scenario():
@@ -668,6 +712,46 @@ class TestAdmissionLadder:
                 assert controller.admission.n_shed == 1
 
         run(scenario())
+
+    def test_degrade_rung_serves_a_direct_offered_without_ids(self):
+        """``{"kind":"direct"}`` is direct on the wire, so the pair's
+        cached direct assignment is among the offered options."""
+        assert_degrades_bare_direct(ViaController.cached_assignment)
+
+        async def scenario():
+            admission = AdmissionConfig(rate=1e-9, burst=1.0)
+            async with ViaController(admission=admission) as controller:
+                reader, writer = await raw_connect(controller.port)
+                writer.write(
+                    wire({"type": "hello", "client_id": 0, "site": "US", "protocol": 2})
+                )
+                assert (await read_json(reader))["type"] == "hello_ack"
+                replies = []
+                for corr_id in (1, 2):  # one at a time: the first fills the cache
+                    writer.write(compact(bare_direct_request(corr_id)))
+                    replies.append(await read_json(reader))
+                assert [(r["type"], r["corr_id"]) for r in replies] == [
+                    ("assign", 1), ("assign", 2)
+                ]
+                assert replies[1]["option"] == encode_option(DIRECT)
+                assert controller.admission.n_degraded == 1
+                writer.close()
+
+        run(scenario())
+
+    def test_comparing_encoded_dicts_is_caught(self):
+        """Planted bug: the degrade rung as it was, matching the cached
+        assignment's encoded dict against the client's dicts."""
+
+        def dict_comparison(controller, message):
+            cached = controller._assign_cache.get((message.src_id, message.dst_id))
+            encoded = None if cached is None else encode_option(cached)
+            if encoded is None or encoded not in message.options:
+                return None
+            return AssignMessage(option=encoded, corr_id=message.corr_id)
+
+        with pytest.raises(AssertionError):
+            assert_degrades_bare_direct(dict_comparison)
 
     def test_deadline_expiry_sheds_instead_of_serving_late(self):
         async def scenario():
