@@ -202,7 +202,7 @@ class AdmissionController:
         )
         self._obs_queue_depth = registry.gauge(
             "via_admission_queue_depth",
-            "Admitted requests waiting for a policy worker.",
+            "Admitted requests waiting for a serve pass.",
         )
         self._obs_tokens = registry.gauge(
             "via_admission_tokens",

@@ -3,17 +3,25 @@
 This module is the controller's network face, split out of
 :mod:`repro.deployment.controller` so policy state and socket handling
 evolve independently.  One :class:`ViaServer` owns the listening socket,
-per-connection reader tasks, a bounded request queue, and a small pool
-of worker coroutines -- all on a single-threaded event loop.
+per-connection reader tasks and a bounded request queue -- all on a
+single-threaded event loop.
 
 Request flow::
 
-    reader -> admission ladder -> [bounded queue] -> worker -> reply
-                    |                                   |
-                    +-- degrade: cached assignment      +-- deadline
-                    +-- shed: explicit ShedMessage          expired?
-                                                            shed, not
-                                                            silence
+    reader -> admission ladder -> [bounded queue] -> serve pass -> reply
+                    |                                    |
+                    +-- degrade: cached assignment       +-- deadline
+                    +-- shed: explicit ShedMessage           expired?
+                                                             shed, not
+                                                             silence
+
+The policy never awaits, so the queue is drained by one synchronous
+*serve pass* per loop turn: the first request admitted in a turn
+schedules it, and it serves every queued request in FIFO order, then
+answers each connection with a single ``write`` of all its replies.
+Backpressure lives in the reader: a connection whose replies are still
+buffered is drained before its next line is read, so a peer that stops
+reading stops being read.
 
 Protocol versions coexist per connection:
 
@@ -21,7 +29,9 @@ Protocol versions coexist per connection:
   contract: replies in request order, so admitted requests are served
   inline -- one at a time per connection -- exactly as before.
 * **v2** connections pipeline: admitted requests enter the shared queue
-  and complete *out of order*; replies carry the request's ``corr_id``.
+  and may complete *out of order* (a fault-stalled request is deferred
+  while the pass serves the rest); replies carry the request's
+  ``corr_id``.
 
 Hostile input never reaches an unhandled exception.  The single gate is
 :func:`~repro.deployment.protocol.decode_message`: a line that is not
@@ -42,9 +52,10 @@ from __future__ import annotations
 
 import asyncio
 import logging
+from collections import deque
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.deployment.admission import AdmissionController
 from repro.deployment.protocol import (
@@ -79,9 +90,10 @@ __all__ = ["ViaServer"]
 logger = logging.getLogger(__name__)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _Connection:
-    """Per-connection state the reader loop threads through handlers."""
+    """Per-connection state the reader loop threads through handlers
+    (hashed by identity: a serve pass groups replies by connection)."""
 
     reader: asyncio.StreamReader
     writer: asyncio.StreamWriter
@@ -96,7 +108,7 @@ class _Connection:
 
 @dataclass(slots=True)
 class _QueuedRequest:
-    """An admitted request waiting for a policy worker."""
+    """An admitted request waiting for a serve pass."""
 
     conn: _Connection
     message: RequestMessage
@@ -116,20 +128,21 @@ class ViaServer:
         *,
         host: str,
         port: int,
-        n_workers: int = 4,
         idle_timeout_s: float | None = None,
     ) -> None:
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1: {n_workers}")
         self.controller = controller
         self.admission = admission
         self.host = host
         self._requested_port = port
-        self.n_workers = n_workers
         self.idle_timeout_s = idle_timeout_s
         self._server: asyncio.Server | None = None
-        self._queue: asyncio.Queue[_QueuedRequest] | None = None
-        self._workers: list[asyncio.Task] = []
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._queue: deque[_QueuedRequest] = deque()
+        #: The scheduled serve pass, if one is pending this loop turn.
+        self._pass: asyncio.Handle | None = None
+        #: Fault-deferred work: each handle maps to the request it holds
+        #: unserved (a stall), or to None (a delayed reply write).
+        self._deferred: dict[asyncio.TimerHandle, _QueuedRequest | None] = {}
         self._conn_tasks: set[asyncio.Task] = set()
         self._conn_writers: set[asyncio.StreamWriter] = set()
 
@@ -150,10 +163,7 @@ class ViaServer:
     async def start(self) -> None:
         if self._server is not None:
             raise RuntimeError("controller already started")
-        self._queue = asyncio.Queue()
-        self._workers = [
-            asyncio.ensure_future(self._worker()) for _ in range(self.n_workers)
-        ]
+        self._loop = asyncio.get_running_loop()
         # The stream limit is above the protocol cap on purpose: lines in
         # between return normally and fail the exact protocol check in
         # read_wire_line; only true monsters take the resync path.
@@ -176,18 +186,21 @@ class ViaServer:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         await self._server.wait_closed()
         self._server = None
-        for task in self._workers:
-            task.cancel()
-        if self._workers:
-            await asyncio.gather(*self._workers, return_exceptions=True)
-        self._workers = []
-        # Queued-but-unserved requests died with their connections; the
-        # shed accounting still records them so nothing vanishes silently.
-        if self._queue is not None:
-            while not self._queue.empty():
-                self._queue.get_nowait()
+        # No reader is left to admit more.  Queued and fault-deferred
+        # requests died with their connections: none of them may reach
+        # the policy or the WAL now, and the shed accounting still
+        # records them so nothing vanishes silently.
+        if self._pass is not None:
+            self._pass.cancel()
+            self._pass = None
+        for handle, item in self._deferred.items():
+            handle.cancel()
+            if item is not None:
                 self.admission.count_shed("shutdown")
-            self._queue = None
+        self._deferred.clear()
+        for _ in self._queue:
+            self.admission.count_shed("shutdown")
+        self._queue.clear()
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -242,7 +255,12 @@ class ViaServer:
 
     async def _reader_loop(self, conn: _Connection) -> None:
         controller = self.controller
+        writer = conn.writer
         while True:
+            if writer.transport.get_write_buffer_size():
+                # Serve passes write without awaiting; a peer that leaves
+                # its replies unread is not read from either.
+                await writer.drain()
             try:
                 line = await self._read_line(conn)
             except OversizedLineError as exc:
@@ -279,8 +297,8 @@ class ViaServer:
             with trace("handle_message", type=message.type):
                 await self._handle_message(conn, message, line)
             if not isinstance(message, RequestMessage):
-                # Requests are timed at service time (workers), where the
-                # latency actually accrues; everything else is inline.
+                # Requests are timed at service time (the serve pass), where
+                # the latency actually accrues; everything else is inline.
                 controller._observe_seconds(message.type, perf_counter() - t0)
             faults = controller.faults
             if faults is not None and faults.should_drop_connection():
@@ -334,7 +352,7 @@ class ViaServer:
         controller._maybe_store_snapshot()
 
     # ------------------------------------------------------------------
-    # The request path: admission ladder -> queue -> worker
+    # The request path: admission ladder -> queue -> serve pass
     # ------------------------------------------------------------------
 
     async def _on_request(
@@ -348,26 +366,34 @@ class ViaServer:
             return
         if faults is not None:
             self.admission.forced_overload = faults.overloaded_at(message.t_hours)
-        assert self._queue is not None
-        depth = self._queue.qsize()
+        queue = self._queue
+        depth = len(queue)
         self.admission.note_queue_depth(depth)
         decision = self.admission.decide(depth)
         if decision.admitted:
-            loop = asyncio.get_event_loop()
-            item = _QueuedRequest(
-                conn=conn,
-                message=message,
-                line=line,
-                enqueued_at=loop.time(),
-                deadline=loop.time() + self.admission.config.queue_timeout_s,
-            )
             if conn.v2:
-                self._queue.put_nowait(item)
-                self.admission.note_queue_depth(self._queue.qsize())
-            else:
-                # v1 promises in-order replies: serve inline, one at a
-                # time per connection, exactly the pre-v2 behaviour.
-                await self._serve_request(item)
+                now = self._loop.time()
+                queue.append(
+                    _QueuedRequest(
+                        conn=conn,
+                        message=message,
+                        line=line,
+                        enqueued_at=now,
+                        deadline=now + self.admission.config.queue_timeout_s,
+                    )
+                )
+                self.admission.note_queue_depth(depth + 1)
+                if self._pass is None:
+                    self._pass = self._loop.call_soon(self._serve_pass)
+                return
+            # v1 promises in-order replies: serve inline, one at a time
+            # per connection, exactly the pre-v2 behaviour.
+            self.admission.observe_queue_wait(0.0)
+            stall = faults.request_stall_s(message.t_hours) if faults is not None else 0.0
+            if stall > 0.0:
+                await asyncio.sleep(stall)  # chaos: an overloaded policy
+            reply = self._serve_request(conn, message, line)
+            await self._send_reply(conn, reply, message.corr_id)
             return
         if decision.degraded:
             cached = controller.cached_assignment(message)
@@ -381,44 +407,58 @@ class ViaServer:
             return
         await self._send_shed(conn, message, decision.reason)
 
-    async def _worker(self) -> None:
-        """One policy worker: serves the shared queue until cancelled."""
-        assert self._queue is not None
+    def _serve_pass(self) -> None:
+        """Serve every queued v2 request, then write each connection's
+        replies at once: one ``write`` per connection per pass."""
+        self._pass = None
         queue = self._queue
-        while True:
-            item = await queue.get()
-            try:
-                self.admission.note_queue_depth(queue.qsize())
-                await self._serve_request(item)
-            except (ConnectionError, OSError):
-                pass  # peer vanished mid-reply; its reader loop cleans up
-            except asyncio.CancelledError:
-                raise
-            except Exception:  # pragma: no cover - isolation backstop
-                logger.exception("request worker failed")
-            finally:
-                queue.task_done()
+        admission = self.admission
+        out: dict[_Connection, list[bytes]] = {}
+        try:
+            while queue:
+                item = queue.popleft()
+                admission.note_queue_depth(len(queue))
+                try:
+                    frame = self._dequeue(item)
+                except Exception:  # pragma: no cover - isolation backstop
+                    logger.exception("request service failed for %s", item.conn.peer)
+                    continue
+                if frame is not None:
+                    out.setdefault(item.conn, []).append(frame)
+        finally:
+            for conn, frames in out.items():
+                self._write(conn, b"".join(frames))
 
-    async def _serve_request(self, item: _QueuedRequest) -> None:
-        controller = self.controller
-        conn, message = item.conn, item.message
-        loop = asyncio.get_event_loop()
-        now = loop.time()
+    def _dequeue(self, item: _QueuedRequest) -> bytes | None:
+        """One request's turn in a pass: its reply frame, or None when a
+        fault deferred its service or its write."""
+        now = self._loop.time()
         self.admission.observe_queue_wait(now - item.enqueued_at)
+        message = item.message
         if now > item.deadline:
             # Too stale to serve: an explicit shed beats a late answer
             # the client's own timeout already gave up on.
             self.admission.count_shed("deadline")
-            await self._send_shed(conn, message, "deadline")
-            return
-        faults = controller.faults
+            return encode_message(ShedMessage(reason="deadline", corr_id=message.corr_id))
+        faults = self.controller.faults
         if faults is not None:
             stall = faults.request_stall_s(message.t_hours)
             if stall > 0.0:
-                await asyncio.sleep(stall)  # chaos: an overloaded policy
+                # Chaos, an overloaded policy: this request alone is
+                # served later; the pass serves the rest now.
+                self._defer(stall, item, self._serve_deferred, item)
+                return None
+        return self._reply_frame(item)
+
+    def _serve_request(
+        self, conn: _Connection, message: RequestMessage, line: bytes
+    ) -> Any:
+        """Run one admitted request through the policy (v1 inline, v2 in
+        a serve pass); a policy error is isolated to a default reply."""
+        controller = self.controller
         t0 = perf_counter()
         try:
-            reply = controller._on_request(message, line=item.line)
+            reply = controller._on_request(message, line=line)
         except Exception:
             controller._obs_policy_errors.inc()
             logger.exception("policy.assign failed for %s", conn.peer)
@@ -426,10 +466,55 @@ class ViaServer:
         service_s = perf_counter() - t0
         self.admission.observe_service(service_s)
         controller._observe_seconds("request", service_s)
-        await self._send_reply(conn, reply, message.corr_id)
+        return reply
+
+    def _reply_frame(self, item: _QueuedRequest) -> bytes | None:
+        """Serve ``item`` and encode its reply; None when a fault took
+        the write out of this pass."""
+        corr_id = item.message.corr_id
+        reply = self._serve_request(item.conn, item.message, item.line)
+        if reply.corr_id != corr_id:
+            reply = replace(reply, corr_id=corr_id)
+        frame = encode_message(reply)
+        faults = self.controller.faults
+        if faults is not None:
+            delay = faults.reply_delay_s()
+            if delay > 0.0:
+                self._defer(delay, None, self._write, item.conn, frame)
+                return None
+        return frame
+
+    def _serve_deferred(self, item: _QueuedRequest) -> None:
+        """A stalled request's turn: served and written on its own."""
+        frame = self._reply_frame(item)
+        if frame is not None:
+            self._write(item.conn, frame)
+
+    def _defer(
+        self,
+        delay: float,
+        item: _QueuedRequest | None,
+        callback: Callable[..., None],
+        *args: Any,
+    ) -> None:
+        """Run ``callback(*args)`` in ``delay`` seconds unless :meth:`stop`
+        cancels it first; ``item`` is the request it holds unserved."""
+
+        def fire() -> None:
+            self._deferred.pop(handle, None)
+            callback(*args)
+
+        handle = self._loop.call_later(delay, fire)
+        self._deferred[handle] = item
+
+    @staticmethod
+    def _write(conn: _Connection, data: bytes) -> None:
+        # A peer that vanished is cleaned up by its reader loop.
+        if not conn.writer.transport.is_closing():
+            conn.writer.write(data)
 
     # ------------------------------------------------------------------
-    # Replies
+    # Replies (reader side)
     # ------------------------------------------------------------------
 
     async def _send_shed(
@@ -461,7 +546,6 @@ class ViaServer:
         await self._send(conn, reply)
 
     async def _send(self, conn: _Connection, message: Any) -> None:
-        # One write() per message keeps frames atomic even when several
-        # workers reply on the same connection concurrently.
+        # One write() per message keeps frames atomic on the stream.
         conn.writer.write(encode_message(message))
         await conn.writer.drain()

@@ -86,9 +86,10 @@ class ViaController:
     :meth:`start` recover the latest snapshot plus the WAL tail and never
     raise on damage (checkpoint on demand with
     :meth:`save_store_snapshot`).  ``admission`` tunes the overload ladder
-    (the default config admits everything); ``n_workers`` sizes the
-    policy worker pool serving pipelined v2 requests; ``idle_timeout_s``
-    disconnects slow-loris/idle peers (None disables).
+    (the default config admits everything); admitted v2 requests queue
+    for the frontend's serve pass, which answers each connection with one
+    write per loop turn; ``idle_timeout_s`` disconnects slow-loris/idle
+    peers (None disables).
 
     Every controller owns a private :class:`MetricsRegistry` (pass one in
     to share): message counters and per-message-type latency histograms
@@ -123,7 +124,6 @@ class ViaController:
         registry: MetricsRegistry | None = None,
         store: Store | str | Path | None = None,
         admission: AdmissionConfig | None = None,
-        n_workers: int = 4,
         idle_timeout_s: float | None = None,
         policy_cls: type[ViaPolicy] = ViaPolicy,
     ) -> None:
@@ -133,7 +133,6 @@ class ViaController:
         )
         self.host = host
         self._requested_port = port
-        self._n_workers = n_workers
         self._idle_timeout_s = idle_timeout_s
         self.client_sites: dict[int, str] = {}
         self.site_labels: dict[int, str] = {}
@@ -245,7 +244,6 @@ class ViaController:
             self.admission,
             host=self.host,
             port=self._requested_port,
-            n_workers=self._n_workers,
             idle_timeout_s=self._idle_timeout_s,
         )
         await frontend.start()

@@ -40,10 +40,11 @@ class FaultPlan:
     delay_reply_s: float = 0.02
     #: ``t_hours`` windows during which requests get no reply at all.
     blackhole_windows: tuple[tuple[float, float], ...] = ()
-    #: ``t_hours`` windows during which every request's policy service
-    #: stalls for ``stall_s`` wall seconds (a slow/overloaded policy; the
-    #: deterministic way to drive out-of-order v2 completion and
-    #: deadline sheds in tests).
+    #: ``t_hours`` windows during which every request's policy service is
+    #: deferred by ``stall_s`` wall seconds (a slow/overloaded policy; the
+    #: deterministic way to drive out-of-order v2 completion in tests).
+    #: Only the stalled request waits, so deadline sheds need a slow
+    #: policy or a busy loop instead.
     stall_windows: tuple[tuple[float, float], ...] = ()
     stall_s: float = 0.05
     #: ``t_hours`` windows during which the admission plane force-sheds

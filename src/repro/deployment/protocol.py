@@ -84,7 +84,6 @@ __all__ = [
     "decode_message",
     "encode_option",
     "decode_option",
-    "check_measurement",
     "WireField",
     "WireMenu",
     "WIRE_TYPES",
@@ -358,18 +357,6 @@ WIRE_TYPES: dict[str, Callable[[Any], bool]] = {
     "WireOption": _is_option,
     "list[WireOption]": _is_menu,
 }
-
-
-def check_measurement(message: "MeasurementMessage") -> None:
-    """Reject a measurement built in process unless it would survive
-    :func:`decode_message`: every field of its declared wire type and the
-    metrics in the ranges :class:`PathMetrics` accepts."""
-    codec = _CODEC_OF[MeasurementMessage]
-    try:
-        _check_fields(codec, {name: getattr(message, name) for name in codec.by_name})
-        codec.whole(message)
-    except ValueError as exc:
-        raise ProtocolError(f"bad measurement: {exc}") from exc
 
 
 @dataclass(frozen=True, slots=True)
