@@ -31,11 +31,29 @@ import each class's declared fields are compiled into one **field table**
 -- ``(name, wire-type check, omitted-when-None)`` per field, the check
 chosen by the field's annotation (:data:`WIRE_TYPES`) -- and both
 directions walk it: :func:`encode_message` copies the fields into a flat
-dict for one shared JSON encoder, :func:`decode_message` checks every
-value against its declared wire type *before* it constructs the message.
-A decoded message is therefore safe to count, log and hand to the policy:
+dict for the JSON encoder, :func:`decode_message` checks every value
+against its declared wire type *before* it constructs the message.  A
+decoded message is therefore safe to count, log and hand to the policy:
 ids are true integers, times and metrics finite numbers in range, option
 objects decode to a :class:`RelayOption`.  Nothing downstream re-checks.
+
+**One JSON engine on the call path, the stdlib as the reference.**  The
+message types without a free-form ``dict[str, Any]`` field -- request,
+assign, measurement, hello, shed, error, stats, metrics, resilience and
+bye -- are written and parsed by orjson, but the stdlib ``json`` module
+defines the wire and decides every case where the two could differ: each
+field also compiles a *plain* guard per direction (:data:`_PLAIN_TYPES`).
+:func:`encode_message` writes orjson's bytes only when every value passes
+its guard and the bytes hold no DEL and nothing non-ASCII (the stdlib
+escapes both), which makes them the stdlib encoder's bytes.
+:func:`decode_message` returns orjson's message only when every value
+passes its plain check, which makes it the message ``json.loads`` plus
+the field checks would give.  Everything else -- every rejected line
+included, so verdicts and ``corr_id`` echoes -- takes the stdlib path.
+hello_ack, redirect, shard_map and sync stay on the stdlib both ways:
+they are off the call path, and their free-form payloads can carry NaN
+(which orjson writes as ``null``) and nesting deeper than ``json.loads``
+accepts (which orjson parses).
 
 Option objects repeat on every call (a pair's menu is the same 21 dicts
 each time), so :func:`decode_option` interns them: the first sight of an
@@ -47,7 +65,7 @@ menu, already checked and interned (a :class:`WireMenu`): a request whose
 menu it has seen skips parsing and checking those 21 objects, and the
 decoded message hands the policy its :class:`RelayOption` tuple (see
 :data:`MENU_INTERN_MAX`).  What a line decodes to never depends on the
-table: it is ``json.loads`` plus the field checks either way.
+table or the engine: it is ``json.loads`` plus the field checks either way.
 """
 
 from __future__ import annotations
@@ -57,6 +75,8 @@ import json
 import sys
 from dataclasses import dataclass, fields
 from typing import Any, Callable, NamedTuple, Union, get_args
+
+import orjson
 
 from repro.netmodel.metrics import PathMetrics
 from repro.netmodel.options import DIRECT, OptionKind, RelayOption
@@ -216,27 +236,25 @@ _menus: dict[str, WireMenu] = {}
 #: Characters of the keys in ``_menus``; MENU_INTERN_MAX once it is closed.
 _menus_held = 0
 _OPTIONS_AT = '"options":['
-# A JSON number no encoder writes (it underflows to -0.0): stands in for a
-# known menu while the rest of the line is parsed.
-_HOLE = "-0.0e-99999"
-_HOLE_VALUE = object()
-_decode_with_hole = json.JSONDecoder(
-    parse_float=lambda text: _HOLE_VALUE if text == _HOLE else float(text)
-).decode
+# The JSON text of the string "\x00": stands in for a known menu while the
+# rest of the line is parsed.  orjson refuses a raw NUL, so in a line with
+# no ``\u0000`` escape no string the peer wrote decodes to it.
+_HOLE = '"\\u0000"'
 
 
-def _load(line: str) -> Any:
-    """``json.loads(line)``, taking a request's menu from the menu table
+def _load_fast(line: str) -> Any:
+    """``orjson.loads(line)``, taking a request's menu from the menu table
     when the table holds its text instead of parsing it again.
 
     The line is parsed with the menu's text replaced by :data:`_HOLE`; the
     table's menu is used only if that parse put the hole at the top-level
     ``options`` -- an escaped or nested ``"options"``, a duplicate key or a
-    hole the peer wrote itself never does -- and anything else is
-    ``json.loads(line)``, so the result is the same value either way."""
+    ``\\u0000`` the peer wrote itself never does -- and anything else is
+    ``orjson.loads(line)``, so the result is the same value either way.
+    Raises ``ValueError`` where orjson refuses the line."""
     start = line.find(_OPTIONS_AT)
     if start < 0:
-        return json.loads(line)
+        return orjson.loads(line)
     start += len(_OPTIONS_AT) - 1
     end = line.find("]", start) + 1
     key = line[start:end]
@@ -244,23 +262,19 @@ def _load(line: str) -> Any:
     if menu is None:
         if _menus_held < MENU_INTERN_MAX:
             _remember_menu(key)
-        return json.loads(line)
-    if _HOLE not in line:
-        try:
-            payload = _decode_with_hole(line[:start] + _HOLE + line[end:])
-        except (ValueError, RecursionError):
-            pass
-        else:
-            if type(payload) is dict and payload.get("options") is _HOLE_VALUE:
-                # A fresh list per message: none shares one with the table.
-                payload["options"] = WireMenu(menu, menu.options)
-                return payload
-    return json.loads(line)
+        return orjson.loads(line)
+    if "\\u0000" not in line:
+        payload = orjson.loads(line[:start] + _HOLE + line[end:])
+        if type(payload) is dict and payload.get("options") == "\x00":
+            # A fresh list per message: none shares one with the table.
+            payload["options"] = WireMenu(menu, menu.options)
+            return payload
+    return orjson.loads(line)
 
 
 def _remember_menu(key: str) -> None:
-    """Add ``key`` to the menu table if its text alone is a valid menu and
-    fits; close the table if it does not fit."""
+    """Add ``key`` to the menu table if its text alone is a valid menu of
+    plain options and fits; close the table if a valid menu does not fit."""
     global _menus_held
     try:
         items = json.loads(key)
@@ -270,9 +284,9 @@ def _remember_menu(key: str) -> None:
         return
     if _menus_held + len(key) > MENU_INTERN_MAX:
         _menus_held = MENU_INTERN_MAX
-        return
-    _menus[key] = WireMenu(items)
-    _menus_held += len(key)
+    elif _plain_options(items):
+        _menus[key] = WireMenu(items)
+        _menus_held += len(key)
 
 
 # ----------------------------------------------------------------------
@@ -356,6 +370,91 @@ WIRE_TYPES: dict[str, Callable[[Any], bool]] = {
     "dict[str, Any]": _is_object,
     "WireOption": _is_option,
     "list[WireOption]": _is_menu,
+}
+
+
+# ----------------------------------------------------------------------
+# Plain values: where orjson provably agrees with the stdlib
+# ----------------------------------------------------------------------
+
+
+def _is_plain_real(value: Any) -> bool:
+    # In this range orjson spells a float as float.__repr__ does (outside
+    # it repr writes 1e-05 and 1e+16, orjson 0.00001 and 1e16), and no
+    # decoded float is an integer literal past 64 bits, which orjson turns
+    # into a float of magnitude >= 2**63.  False for NaN and +-inf.
+    if type(value) is float:
+        return value == 0.0 or 1e-4 <= abs(value) < 1e16
+    return type(value) is int
+
+
+def _is_plain_hours(value: Any) -> bool:
+    return _is_plain_real(value) and value >= 0
+
+
+_ID_TYPES = frozenset({int, type(None)})
+
+
+def _is_plain_option(data: Any) -> bool:
+    # Exactly the three keys -- an extra one could hide a float, or nesting
+    # json.loads refuses (orjson parses 32,000 levels) -- holding a str kind
+    # and int or None ids.  An OptionKind kind would pass decode_option, but
+    # only orjson writes one.
+    if type(data) is not dict or len(data) != 3:
+        return False
+    try:
+        kind, ingress, egress = data["kind"], data["ingress"], data["egress"]
+    except KeyError:
+        return False
+    return type(kind) is str and type(ingress) in _ID_TYPES and type(egress) in _ID_TYPES
+
+
+def _plain_options(value: Any) -> bool:
+    if type(value) is not list and type(value) is not WireMenu:
+        return False
+    ids = _ID_TYPES
+    try:
+        for data in value:
+            # _is_plain_option, inline: 21 calls per request add up.
+            if (
+                type(data) is not dict
+                or len(data) != 3
+                or type(data["kind"]) is not str
+                or type(data["ingress"]) not in ids
+                or type(data["egress"]) not in ids
+            ):
+                return False
+    except KeyError:
+        return False
+    return True
+
+
+def _decodes_plain_option(value: Any) -> bool:
+    return _is_plain_option(value) and _is_option(value)
+
+
+def _decodes_plain_menu(value: Any) -> bool:
+    # A WireMenu here is the menu table's, which holds only plain menus.
+    # An encoded one may have been changed since, so encode looks inside.
+    if type(value) is WireMenu:
+        return bool(value)
+    return _plain_options(value) and _is_menu(value)
+
+
+#: Wire type -> (encode guard, decode check) of the orjson path.  An
+#: encode guard passes a value orjson writes byte for byte as the stdlib
+#: encoder does (it may still raise TypeError: an int past 64 bits, a lone
+#: surrogate).  A decode check passes an orjson-decoded value only if
+#: ``json.loads`` gives the same value and the wire type's check passes it.
+#: Free-form objects have neither: NaN and deep nesting hide in them.
+_PLAIN_TYPES: dict[str, tuple[Callable[[Any], bool], Callable[[Any], bool]]] = {
+    "int": (_is_int, _is_int),
+    "float": (_is_plain_real, _is_plain_real),
+    "Hours": (_is_plain_real, _is_plain_hours),
+    "str": (_is_str, _is_str),
+    "bool": (_is_bool, _is_bool),
+    "WireOption": (_is_plain_option, _decodes_plain_option),
+    "list[WireOption]": (_plain_options, _decodes_plain_menu),
 }
 
 
@@ -667,23 +766,30 @@ class _Codec(NamedTuple):
     #: Called on the constructed message for ranges that span fields or
     #: belong to another class; raises ValueError.
     whole: Callable[[Any], Any] | None
+    #: Field name -> encode guard and -> decode check of the orjson path
+    #: (:data:`_PLAIN_TYPES`); None for a class with a free-form field.
+    plain_encode: dict[str, Callable[[Any], bool]] | None
+    plain_decode: dict[str, Callable[[Any], bool]] | None
 
 
 def _compile(cls: type) -> _Codec:
     declared = fields(cls)
+    wire_types = [field.type.removesuffix(" | None") for field in declared]
     table = tuple(
-        WireField(
-            field.name,
-            WIRE_TYPES[field.type.removesuffix(" | None")],
-            field.type.endswith(" | None"),
-        )
-        for field in declared
+        WireField(field.name, WIRE_TYPES[wire_type], field.type.endswith(" | None"))
+        for field, wire_type in zip(declared, wire_types)
     )
     wire_type = next(field.default for field in declared if field.name == "type")
     by_name = {field.name: field for field in table if field.name != "type"}
     # PathMetrics owns the metric ranges; building it is the range check.
     whole = MeasurementMessage.metrics if cls is MeasurementMessage else None
-    return _Codec(cls, wire_type, table, by_name, whole)
+    guards = [_PLAIN_TYPES.get(wire_type) for wire_type in wire_types]
+    plain_encode = plain_decode = None
+    if None not in guards:  # no free-form field
+        names = [field.name for field in declared]
+        plain_encode = {name: encode for name, (encode, _) in zip(names, guards)}
+        plain_decode = {name: decode for name, (_, decode) in zip(names, guards)}
+    return _Codec(cls, wire_type, table, by_name, whole, plain_encode, plain_decode)
 
 
 _CODEC_OF: dict[type, _Codec] = {cls: _compile(cls) for cls in get_args(Message)}
@@ -692,18 +798,48 @@ _CODECS: dict[str, _Codec] = {codec.type: codec for codec in _CODEC_OF.values()}
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
+def _all_plain(checks: dict[str, Callable[[Any], bool]], payload: dict[str, Any]) -> bool:
+    try:
+        for name, value in payload.items():
+            if not checks[name](value):
+                return False
+    except KeyError:  # not a declared field
+        return False
+    return True
+
+
+def _dumps_exact(payload: dict[str, Any]) -> bytes | None:
+    """orjson's bytes for a payload of plain values, or None where they
+    would not be the stdlib encoder's."""
+    try:
+        encoded = orjson.dumps(payload)
+    except TypeError:  # an int past 64 bits, a lone surrogate
+        return None
+    # The stdlib escapes DEL and every non-ASCII character as \uXXXX.
+    return encoded if encoded.isascii() and b"\x7f" not in encoded else None
+
+
 def encode_message(message: Message) -> bytes:
     """Serialise a message to one newline-terminated JSON line.
 
     An unset ``corr_id`` is omitted from the wire entirely, so id-less
     messages stay byte-identical to protocol v1; likewise an unset
-    ``shard_map`` (single controllers' hello_acks predate sharding)."""
+    ``shard_map`` (single controllers' hello_acks predate sharding).  The
+    bytes are the stdlib encoder's: orjson writes them only where every
+    value passes its field's encode guard and :func:`_dumps_exact` takes
+    its output."""
+    codec = _CODEC_OF[type(message)]
     payload = {}
-    for name, _, optional in _CODEC_OF[type(message)].fields:
+    for name, _, optional in codec.fields:
         value = getattr(message, name)
         if value is not None or not optional:
             payload[name] = value
-    encoded = (_encode_json(payload) + "\n").encode("utf-8")
+    encoded = None
+    if codec.plain_encode is not None and _all_plain(codec.plain_encode, payload):
+        encoded = _dumps_exact(payload)
+    if encoded is None:
+        encoded = _encode_json(payload).encode("utf-8")
+    encoded += b"\n"
     if len(encoded) > MAX_LINE_BYTES:
         raise ProtocolError(f"message exceeds {MAX_LINE_BYTES} bytes")
     return encoded
@@ -725,14 +861,52 @@ def _check_fields(codec: _Codec, payload: dict[str, Any]) -> None:
 def decode_message(line: bytes | str) -> Message:
     """Parse one wire line into its message dataclass, or raise
     :class:`ProtocolError`: every field present is declared and holds a
-    value of its wire type, every field without a default is present."""
-    try:
-        if isinstance(line, bytes):
-            if len(line) > MAX_LINE_BYTES:
-                raise OversizedLineError(f"line exceeds {MAX_LINE_BYTES} bytes")
+    value of its wire type, every field without a default is present.
+
+    The message is ``json.loads`` plus those checks: orjson's is returned
+    only where it provably is that message, and every other line --
+    every line rejected included -- is decided by the stdlib."""
+    if isinstance(line, bytes):
+        if len(line) > MAX_LINE_BYTES:
+            raise OversizedLineError(f"line exceeds {MAX_LINE_BYTES} bytes")
+        try:
             line = line.decode("utf-8", errors="strict")
-        payload = _load(line)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"not valid JSON: {line[:80]!r}") from exc
+    message = _decode_plain(line)
+    return _decode_json(line) if message is None else message
+
+
+def _decode_plain(line: str) -> Message | None:
+    """orjson's message for ``line``, or None where it might not be the
+    stdlib's: a line orjson refuses, a free-form type, or a value that
+    fails its field's decode check."""
+    try:
+        payload = _load_fast(line)
+    except ValueError:
+        return None
+    if type(payload) is not dict:
+        return None
+    msg_type = payload.pop("type", None)
+    codec = _CODECS.get(msg_type) if type(msg_type) is str else None
+    if codec is None or codec.plain_decode is None:
+        return None
+    if not _all_plain(codec.plain_decode, payload):
+        return None
+    try:
+        message = codec.cls(**payload)
+        if codec.whole is not None:
+            codec.whole(message)
+    except (TypeError, ValueError):
+        return None
+    return message
+
+
+def _decode_json(line: str) -> Message:
+    """``json.loads`` plus the field checks: the reference decode."""
+    try:
+        payload = json.loads(line)
+    except (json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: a few thousand nested "[" fit in one line.
         raise ProtocolError(f"not valid JSON: {line[:80]!r}") from exc
     if type(payload) is not dict:

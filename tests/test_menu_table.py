@@ -2,11 +2,13 @@
 
 ``decode_message`` takes a request's menu from the table when it has seen
 the menu's exact JSON text before.  The contract is that what a line
-decodes to never depends on the table: ``protocol._load(line)`` equals
-``json.loads(line)`` -- compared type-strictly, so ``true`` is not ``1``
--- or both raise.  A property over lines built from the fragments that
-could fool a text search, a fixed list of the adversarial lines, and one
-planted bug per guard (mutants of ``_load``'s own source) hold it.
+decodes to never depends on the table, nor on the JSON engine:
+``decode_message(line)`` is the stdlib's decode of the line --
+``json.loads`` plus the field checks, compared type-strictly, so ``true``
+is not ``1`` -- or both raise the same error.  A property over lines
+built from the fragments that could fool a text search, a fixed list of
+the adversarial lines, and one planted bug per guard (mutants of the fast
+loader ``_load_fast``'s own source) hold it.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from __future__ import annotations
 import inspect
 import json
 from contextlib import contextmanager
+from dataclasses import fields
 from unittest import mock
 
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -43,11 +47,19 @@ MENU = json.dumps(
 TRUE_MENU = '[{"kind":"bounce","ingress":true,"egress":true}]'
 INT_MENU = '[{"kind":"bounce","ingress":1,"egress":1}]'
 HOLE = protocol._HOLE
+#: A request's other fields, as the text that opens its object.
+HEAD = '"type":"request","src_id":3,"dst_id":4,"t_hours":1.5,'
 
 
 def request_line(menu: str = MENU, **fields) -> str:
     head = {"type": "request", "src_id": 3, "dst_id": 4, "t_hours": 1.5, **fields}
     return json.dumps(head, separators=(",", ":"))[:-1] + f',"options":{menu}}}\n'
+
+
+def as_request(line: str) -> str:
+    """``line`` with a request's other fields opening its object, so that a
+    line the table could answer decodes to a message."""
+    return "{" + HEAD + line[1:] if line.startswith("{") else line
 
 
 @contextmanager
@@ -56,7 +68,7 @@ def fresh_table():
     with mock.patch.object(protocol, "_menus", {}), mock.patch.object(
         protocol, "_menus_held", 0
     ):
-        protocol._load(request_line())
+        protocol._load_fast(request_line())
         assert MENU in protocol._menus
         yield
 
@@ -81,21 +93,25 @@ def same(a, b) -> bool:
     return a == b
 
 
-def outcome(load, line):
+def outcome(decode, line):
+    """What ``decode`` makes of ``line``: the message's type and values, or
+    the error's text and echoed ``corr_id``."""
     try:
-        return load(line)
-    except (ValueError, RecursionError) as exc:
-        return exc
+        message = decode(line)
+    except ProtocolError as exc:
+        return {"error": str(exc), "corr_id": exc.corr_id}
+    return {"class": type(message).__name__} | {
+        f.name: getattr(message, f.name) for f in fields(message)
+    }
 
 
-def assert_loads_like_json(load, lines) -> None:
-    """Feed ``lines`` in order (earlier lines may fill the table)."""
+def assert_decodes_like_json(lines) -> None:
+    """Feed ``lines`` in order (earlier lines may fill the table); each must
+    decode as the stdlib decode -- ``json.loads`` plus the field checks --
+    does."""
     for line in lines:
-        got, expected = outcome(load, line), outcome(json.loads, line)
-        if isinstance(expected, Exception):
-            assert type(got) is type(expected), (line, got)
-        else:
-            assert same(got, expected), (line, got, expected)
+        got, expected = outcome(decode_message, line), outcome(protocol._decode_json, line)
+        assert same(got, expected), (line, got, expected)
 
 
 #: Each line defeats a naive "find the text, splice the menu in".
@@ -137,18 +153,28 @@ ADVERSARIAL = [
     request_line(),
     request_line(INT_MENU),
     request_line(TRUE_MENU),
+    # A hole the peer wrote itself, where the menu's key is repeated.
+    f'{{"options":{MENU},"options":{HOLE}}}',
+    f'{{"options":{MENU},"\\u006fptions":{HOLE}}}',
+    f'{{"options":{HOLE},"options":{MENU}}}',
+]
+#: Each line above, and each as a request.
+ADVERSARIAL_REQUESTS = [request_line()] + [
+    line for raw in ADVERSARIAL for line in (raw, as_request(raw))
 ]
 
 
 _keys = st.sampled_from(
-    ['"options":', '"x\\"options":', '"\\u006fptions":', '"a":', '"type":']
+    ['"options":', '"x\\"options":', '"\\u006fptions":', '"a":', '"type":', '"corr_id":']
 )
 _values = st.sampled_from(
     [MENU, MENU, TRUE_MENU, INT_MENU, HOLE, "NaN", "true", "1", "1.5", '"request"',
-     f'{{"options":{MENU}}}', "[]", "{}"]
+     f'{{"options":{MENU}}}', "[]", "{}", "7", str(10**23)]
 )
 _members = st.lists(st.tuples(_keys, _values).map("".join), max_size=4)
-_objects = _members.map(lambda members: "{" + ",".join(members) + "}")
+_objects = st.tuples(st.sampled_from([[], [HEAD.rstrip(",")]]), _members).map(
+    lambda parts: "{" + ",".join(parts[0] + parts[1]) + "}"
+)
 _fragments = st.lists(
     st.sampled_from(
         [MENU, TRUE_MENU, INT_MENU, HOLE, '"options":', '"x\\"options":',
@@ -164,43 +190,38 @@ class TestTheLoaderIsJsonLoads:
     @settings(max_examples=400)
     def test_generated_lines_load_as_json_loads_does(self, lines):
         with fresh_table():
-            assert_loads_like_json(protocol._load, lines)
+            assert_decodes_like_json([request_line()] + lines)
 
     def test_adversarial_lines_load_as_json_loads_does(self):
-        assert_loads_like_json(protocol._load, ADVERSARIAL)
+        assert_decodes_like_json(ADVERSARIAL_REQUESTS)
 
     def test_a_hit_takes_the_menu_from_the_table(self):
-        payload = protocol._load(request_line())
+        payload = protocol._load_fast(request_line())
         assert type(payload["options"]) is WireMenu
         assert payload["options"] == protocol._menus[MENU]
         assert payload["options"].options == tuple(map(decode_option, json.loads(MENU)))
 
     @pytest.mark.parametrize("line", ADVERSARIAL, ids=range(len(ADVERSARIAL)))
     def test_decode_is_the_same_with_no_table(self, line):
-        def decoded(line):
-            try:
-                return decode_message(line)
-            except ProtocolError as exc:
-                return str(exc)
-
-        got = decoded(line)
-        with mock.patch.object(protocol, "_load", json.loads):
-            expected = decoded(line)
-        assert got == expected
-        if isinstance(got, RequestMessage):
-            assert same(got.options, expected.options)
-            assert [decode_option(o) for o in got.options] == [
-                decode_option(o) for o in expected.options
-            ]
+        for text in (line, as_request(line)):
+            got = outcome(decode_message, text)
+            with mock.patch.object(protocol, "_load_fast", orjson.loads):
+                expected = outcome(decode_message, text)
+            assert same(got, expected), (text, got, expected)
+            if got.get("class") == "RequestMessage":
+                assert [decode_option(o) for o in got["options"]] == [
+                    decode_option(o) for o in expected["options"]
+                ]
 
 
 def mutant(old: str, new: str):
-    """``_load`` with one line of its source changed, in the module's globals."""
-    source = inspect.getsource(protocol._load)
+    """``_load_fast`` with one line of its source changed, in the module's
+    globals."""
+    source = inspect.getsource(protocol._load_fast)
     assert source.count(old) == 1, f"planted-bug anchor moved: {old!r}"
     namespace: dict = {}
     exec(source.replace(old, new), vars(protocol), namespace)
-    return namespace["_load"]
+    return namespace["_load_fast"]
 
 
 def remember_from_payload(key: str, line: str) -> None:
@@ -225,25 +246,26 @@ def assert_decoded_menus_are_private() -> None:
 
 
 class TestPlantedBugs:
-    def test_dropping_the_hole_guard_is_caught(self):
-        planted = mutant("    if _HOLE not in line:\n", "    if True:\n")
+    def test_dropping_the_hole_guard_is_caught(self, monkeypatch):
+        planted = mutant('    if "\\\\u0000" not in line:\n', "    if True:\n")
+        monkeypatch.setattr(protocol, "_load_fast", planted)
         with pytest.raises(AssertionError):
-            assert_loads_like_json(planted, ADVERSARIAL)
+            assert_decodes_like_json(ADVERSARIAL_REQUESTS)
 
     def test_building_the_entry_from_the_payload_is_caught(self, monkeypatch):
         monkeypatch.setattr(protocol, "remember_from_payload", remember_from_payload, raising=False)
         planted = mutant("_remember_menu(key)", "remember_from_payload(key, line)")
+        monkeypatch.setattr(protocol, "_load_fast", planted)
         with pytest.raises(AssertionError):
-            assert_loads_like_json(planted, ADVERSARIAL)
+            assert_decodes_like_json(ADVERSARIAL_REQUESTS)
         # Through the decoder: a menu of booleans would be served.
         with fresh_table():
-            monkeypatch.setattr(protocol, "_load", planted)
             decode_message(request_line(f"{TRUE_MENU},\"options\":{INT_MENU}"))
             assert decode_message(request_line(TRUE_MENU)).options == json.loads(INT_MENU)
 
     def test_returning_the_tables_own_list_is_caught(self, monkeypatch):
         planted = mutant("WireMenu(menu, menu.options)", "menu")
-        monkeypatch.setattr(protocol, "_load", planted)
+        monkeypatch.setattr(protocol, "_load_fast", planted)
         with pytest.raises(AssertionError):
             assert_decoded_menus_are_private()
 
