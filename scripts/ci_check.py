@@ -27,13 +27,14 @@ Runs, in order, failing fast:
    the resource-trend watchdogs armed.  The hours-long run is
    ``repro soak --budget full``; this leg proves the harness itself and
    catches gross leaks in under a minute;
-7. the repo benchmark at smoke scale (``make perf-smoke``), after four
+7. the repo benchmark at smoke scale (``make perf-smoke``), after five
    same-process ratio checks (the wire codec's shape; ``World.sample_call``
    under half its reference composition, streams equal; a WAL append of
    a validated wire line under half ``Store.log_request`` of the same
    values; ``assign_many``/``observe_many`` under
    :data:`VECTOR_RATIO_LIMIT` of the scalar loop on the same chunks,
-   streams equal): the
+   streams equal; ``Store.snapshot``'s traced peak under
+   :data:`SNAPSHOT_RATIO_LIMIT` times its file): the
    ``perf/`` harness self-tests, then one second of every
    ``BENCHMARK.json`` workload -- the build fails when any workload's
    correctness checks fail (speed is judged by the benchmark driver,
@@ -655,10 +656,63 @@ def _vector_ratio() -> bool:
     return True
 
 
+#: ``_snapshot_ratio``'s limit: the traced peak of one ``Store.snapshot``
+#: over the size of the file it writes.  It sits between the readings it
+#: must tell apart (``docs/persistence.md``, *Snapshot cost*): shared leaves
+#: and a streamed write read ~2.1x; one dict per option mention ~4.8x; the
+#: whole text built by one ``json.dumps`` ~5.0x; both at once ~7.8x.
+SNAPSHOT_RATIO_LIMIT = 3.2
+
+
+def _snapshot_ratio() -> bool:
+    """The snapshot's transient memory as a multiple of its file: the
+    tracemalloc peak of ``Store.snapshot`` on a seeded 3,000-call state
+    (``scripts/snapshot_fixture.py``) over the bytes written.  Allocation
+    counts repeat exactly, so this leg needs no timing and no alternation."""
+    print("== perf: Store.snapshot peak memory vs its file", flush=True)
+    import gc
+    import tempfile
+    import tracemalloc
+
+    from repro.store import Store, StoreConfig
+    from scripts.snapshot_fixture import build_controller
+
+    controller = build_controller(n_calls=3000, n_clients=64)
+    with tempfile.TemporaryDirectory(prefix="via-ci-snapshot-") as tmp:
+        store = Store(tmp, StoreConfig(fsync="off"))
+        try:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                store.snapshot(controller)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            size = store.snapshot_path.stat().st_size
+        finally:
+            store.close()
+    ratio = peak / size
+    print(
+        f"  snapshot peak {peak / 2**20:.2f} MiB for a {size / 2**20:.2f} MiB file "
+        f"({ratio:.2f}x, limit {SNAPSHOT_RATIO_LIMIT}x)"
+    )
+    if ratio >= SNAPSHOT_RATIO_LIMIT:
+        print(f"ci-check: FAILED at snapshot-ratio (a snapshot holds {SNAPSHOT_RATIO_LIMIT}x "
+              "its file or more: are option dicts built per mention, or the text whole?)")
+        return False
+    return True
+
+
 def _perf_smoke(env: dict[str, str]) -> bool:
     """The repo benchmark's correctness checks (``make perf-smoke``), after
-    the codec, sampler, WAL and vector ratio checks."""
-    if not (_codec_ratios() and _sampler_ratio() and _wal_ratio() and _vector_ratio()):
+    the codec, sampler, WAL, vector and snapshot ratio checks."""
+    if not (
+        _codec_ratios()
+        and _sampler_ratio()
+        and _wal_ratio()
+        and _vector_ratio()
+        and _snapshot_ratio()
+    ):
         return False
     steps = (
         ("perf self-tests", [sys.executable, "-m", "pytest", "perf/tests", "-q"]),
@@ -689,8 +743,8 @@ def main() -> int:
     for step, argv in steps:
         if not _run(step, argv, env):
             return 1
-    # The repo root too: the ratio legs import ``tests.sampler_reference``
-    # and ``tests.vector_stream``.
+    # The repo root too: the ratio legs import ``tests.sampler_reference``,
+    # ``tests.vector_stream`` and ``scripts.snapshot_fixture``.
     sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
     # First: every later leg imports repro.* directly, and the traced
     # verify leg requires repro.verify to be un-imported.

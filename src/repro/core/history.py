@@ -23,6 +23,7 @@ __all__ = [
     "history_from_dict",
     "option_to_dict",
     "option_from_dict",
+    "CheckpointCodec",
 ]
 
 _N_METRICS = len(METRICS)
@@ -333,27 +334,103 @@ def _decode_key(value):
     return value
 
 
-def history_to_dict(history: CallHistory) -> dict:
+# Leaf types a CheckpointCodec shares.  For these, equal values are spelled
+# the same in JSON; True == 1 == 1.0 hash alike but are spelled three ways.
+_SHARED_IDS = (int, type(None))
+_SHARED_SIDES = (int, str)
+
+
+class CheckpointCodec:
+    """The leaves of one checkpoint, one object per distinct value.
+
+    A controller's state names the same few relay options and pair keys
+    over and over: every history entry and every pair state's menu and
+    bandit arms.  Within one :meth:`~repro.core.policy.ViaPolicy.state_dict`
+    (or :func:`history_to_dict`) call, :meth:`encode_option` builds each
+    distinct option's dict once and :meth:`encode_pair` each pair key's
+    ``[a, b]`` list once, and every later mention gets that same object.
+    The JSON encoder writes a shared reference exactly as it writes a
+    copy, so the checkpoint's bytes are unchanged; a tree built this way
+    is read-only.  On restore, :meth:`decode_option` returns one
+    :class:`RelayOption` per distinct payload.
+
+    Only leaves whose ids are ``int``/``None`` (pair sides ``int``/``str``)
+    are shared: those are what the wire and the world produce.  Anything
+    else, such as an id a checkpoint spelled ``1.0`` or ``true``, is
+    encoded or decoded afresh at every mention, exactly as without a codec.
+    """
+
+    __slots__ = ("_dicts", "_pairs", "_options")
+
+    def __init__(self) -> None:
+        self._dicts: dict[RelayOption, dict] = {}
+        self._pairs: dict[tuple, list] = {}
+        # Keyed on the id *types* too: True == 1 == 1.0 and all three hash
+        # alike, so a value key would hand a bool or float id the option
+        # built for the integer.
+        self._options: dict[tuple, RelayOption] = {}
+
+    def encode_option(self, option: RelayOption) -> dict:
+        """:func:`option_to_dict`, shared across the mentions of ``option``."""
+        if type(option.ingress) not in _SHARED_IDS or type(option.egress) not in _SHARED_IDS:
+            return option_to_dict(option)
+        data = self._dicts.get(option)
+        if data is None:
+            data = self._dicts[option] = option_to_dict(option)
+        return data
+
+    def encode_pair(self, pair_key: tuple) -> list:
+        """A pair key's ``[a, b]`` form, shared across its mentions."""
+        a, b = pair_key
+        if type(a) not in _SHARED_SIDES or type(b) not in _SHARED_SIDES:
+            return [_encode_key(a), _encode_key(b)]
+        data = self._pairs.get(pair_key)
+        if data is None:
+            data = self._pairs[pair_key] = [a, b]
+        return data
+
+    def decode_option(self, data: dict) -> RelayOption:
+        """:func:`option_from_dict`, one shared option per distinct payload.
+
+        A payload not seen before takes :func:`option_from_dict` itself, so
+        every accept/reject verdict and every field type is the same as
+        without the codec."""
+        try:
+            ingress, egress = data["ingress"], data["egress"]
+            key = (data["kind"], ingress, egress, type(ingress), type(egress))
+            option = self._options.get(key)
+        except (KeyError, TypeError):  # not an option at all, or unhashable ids
+            return option_from_dict(data)
+        if option is None:
+            option = option_from_dict(data)
+            if type(ingress) in _SHARED_IDS and type(egress) in _SHARED_IDS:
+                self._options[key] = option
+        return option
+
+
+def history_to_dict(history: CallHistory, codec: CheckpointCodec | None = None) -> dict:
     """Serialise a :class:`CallHistory` to JSON-compatible primitives.
 
     Used for controller checkpointing: the learned per-(pair, option,
     window) aggregates are the state worth surviving a restart (bandit and
-    pruning state rebuild at the next refresh).
+    pruning state rebuild at the next refresh).  Entries share their
+    option dicts and pair lists (:class:`CheckpointCodec`; pass the
+    caller's ``codec`` to share them with the rest of its checkpoint), so
+    the returned tree is read-only.
     """
+    codec = CheckpointCodec() if codec is None else codec
     windows = {}
     for window in history.windows():
-        entries = []
-        for (pair_key, option), stat in history.window_items(window):
-            entries.append(
-                {
-                    "pair": [_encode_key(pair_key[0]), _encode_key(pair_key[1])],
-                    "option": option_to_dict(option),
-                    "count": stat.count,
-                    "mean": [float(x) for x in stat._mean],
-                    "m2": [float(x) for x in stat._m2],
-                }
-            )
-        windows[str(window)] = entries
+        windows[str(window)] = [
+            {
+                "pair": codec.encode_pair(pair_key),
+                "option": codec.encode_option(option),
+                "count": stat.count,
+                "mean": stat._mean.tolist(),
+                "m2": stat._m2.tolist(),
+            }
+            for (pair_key, option), stat in history.window_items(window)
+        ]
     return {"window_hours": history.window_hours, "windows": windows}
 
 
@@ -394,7 +471,7 @@ def _stat_from_entry(entry: dict, where: str) -> RunningStat:
     return stat
 
 
-def history_from_dict(data: dict) -> CallHistory:
+def history_from_dict(data: dict, codec: CheckpointCodec | None = None) -> CallHistory:
     """Rebuild a :class:`CallHistory` from :func:`history_to_dict` output.
 
     The payload is a checkpoint read from disk or a gossip peer's ``sync``
@@ -402,8 +479,11 @@ def history_from_dict(data: dict) -> CallHistory:
     else: corrupt entries (negative counts or means, non-finite moments,
     wrong-length mean/m2 vectors) as well as a missing key, a non-finite
     ``window_hours`` or the wrong container anywhere in the tree.  Loading
-    such state would quietly break every later SEM computation.
+    such state would quietly break every later SEM computation.  Equal
+    option payloads decode to one shared option (:class:`CheckpointCodec`;
+    pass the caller's ``codec`` to share them with the rest of its restore).
     """
+    codec = CheckpointCodec() if codec is None else codec
     try:
         history = CallHistory(window_hours=float(data["window_hours"]))
         for window_str, entries in data["windows"].items():
@@ -417,7 +497,7 @@ def history_from_dict(data: dict) -> CallHistory:
                 try:
                     pair = entry["pair"]
                     pair_key = (_decode_key(pair[0]), _decode_key(pair[1]))
-                    option = option_from_dict(entry["option"])
+                    option = codec.decode_option(entry["option"])
                 except (KeyError, IndexError, TypeError, ValueError) as exc:
                     raise ValueError(f"corrupt history entry at {where}: {exc!r}") from exc
                 bucket[(pair_key, option)] = _stat_from_entry(entry, where)

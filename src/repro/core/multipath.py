@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.core.bandit import UCB1Explorer
 from repro.core.costs import CostModel, make_cost_model
+from repro.core.history import CheckpointCodec
 from repro.core.keys import PairKeyer, PairView
 from repro.netmodel.metrics import PathMetrics
 from repro.netmodel.options import RelayOption
@@ -381,17 +382,20 @@ class MultipathBanditPolicy:
     # -- checkpointing --------------------------------------------------
 
     def state_dict(self) -> dict:
-        """JSON-compatible checkpoint of the learned pair-bandit state."""
-        from repro.core.history import _encode_key
+        """JSON-compatible checkpoint of the learned pair-bandit state.
 
+        Options and pair keys are shared leaves
+        (:class:`~repro.core.history.CheckpointCodec`): the tree is read-only.
+        """
+        codec = CheckpointCodec()
         states = []
         for (pair_key, direct_blocked), bandit in self._bandits.items():
             per_arm = bandit.export_state()
             states.append(
                 {
-                    "pair": [_encode_key(pair_key[0]), _encode_key(pair_key[1])],
+                    "pair": codec.encode_pair(pair_key),
                     "direct_blocked": bool(direct_blocked),
-                    "arms": [self._pathset_to_dict(a) for a in bandit.arms],
+                    "arms": [self._pathset_to_dict(a, codec) for a in bandit.arms],
                     "counts": [per_arm[a][0] for a in bandit.arms],
                     "cost_sums": [per_arm[a][1] for a in bandit.arms],
                     "max_seen_cost": bandit.max_seen_cost,
@@ -426,12 +430,13 @@ class MultipathBanditPolicy:
             payload.get("n_epsilon_explorations", 0)
         )
         self._bandits = {}
+        codec = CheckpointCodec()
         for entry in payload.get("pair_states", ()):
             pair_key = (
                 _decode_key(entry["pair"][0]),
                 _decode_key(entry["pair"][1]),
             )
-            arms = [self._pathset_from_dict(a) for a in entry["arms"]]
+            arms = [self._pathset_from_dict(a, codec) for a in entry["arms"]]
             bandit = UCB1Explorer(
                 arms,  # type: ignore[arg-type]
                 normalizer=1.0,
@@ -450,23 +455,19 @@ class MultipathBanditPolicy:
             self._bandits[(pair_key, bool(entry["direct_blocked"]))] = bandit
 
     @staticmethod
-    def _pathset_to_dict(path_set: PathSet) -> dict:
-        from repro.core.history import option_to_dict
-
+    def _pathset_to_dict(path_set: PathSet, codec: CheckpointCodec) -> dict:
         return {
-            "primary": option_to_dict(path_set.primary),
-            "secondary": option_to_dict(path_set.secondary),
+            "primary": codec.encode_option(path_set.primary),
+            "secondary": codec.encode_option(path_set.secondary),
             "mode": path_set.mode,
             "split_weight": path_set.split_weight,
         }
 
     @staticmethod
-    def _pathset_from_dict(data: dict) -> PathSet:
-        from repro.core.history import option_from_dict
-
+    def _pathset_from_dict(data: dict, codec: CheckpointCodec) -> PathSet:
         return PathSet(
-            primary=option_from_dict(data["primary"]),
-            secondary=option_from_dict(data["secondary"]),
+            primary=codec.decode_option(data["primary"]),
+            secondary=codec.decode_option(data["secondary"]),
             mode=data["mode"],
             split_weight=float(data["split_weight"]),
         )

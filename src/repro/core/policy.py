@@ -27,7 +27,12 @@ from repro.core.bandit import UCB1Explorer
 from repro.core.budget import BudgetGate, RelayLoadTracker
 from repro.core.coordinates import CoordinateSystem
 from repro.core.costs import COST_MODEL_NAMES, CostModel, make_cost_model
-from repro.core.history import CallHistory, history_from_dict, history_to_dict
+from repro.core.history import (
+    CallHistory,
+    CheckpointCodec,
+    history_from_dict,
+    history_to_dict,
+)
 from repro.core.keys import Granularity, PairKeyer, PairView
 from repro.core.predictor import Prediction, Predictor
 from repro.core.tomography import InterRelayLookup, TomographyModel
@@ -865,20 +870,24 @@ class ViaPolicy:
         bandit/greedy state, so a restored controller resumes mid-period
         with the same top-k and the same exploration counts instead of
         relearning from scratch (§7 operational concerns).
-        """
-        from repro.core.history import _encode_key, option_to_dict
 
+        Every mention of an option or pair key is one shared object
+        (:class:`~repro.core.history.CheckpointCodec`), so the returned tree
+        is read-only.
+        """
+        codec = CheckpointCodec()
+        encode_option = codec.encode_option
         pair_states = []
         for (pair_key, direct_blocked), state in self._pair_state.items():
             entry: dict = {
-                "pair": [_encode_key(pair_key[0]), _encode_key(pair_key[1])],
+                "pair": codec.encode_pair(pair_key),
                 "direct_blocked": bool(direct_blocked),
-                "options": [option_to_dict(o) for o in state.options],
+                "options": [encode_option(o) for o in state.options],
             }
             if state.bandit is not None:
                 per_arm = state.bandit.export_state()
                 entry["bandit"] = {
-                    "arms": [option_to_dict(a) for a in state.bandit.arms],
+                    "arms": [encode_option(a) for a in state.bandit.arms],
                     "counts": [per_arm[a][0] for a in state.bandit.arms],
                     "cost_sums": [per_arm[a][1] for a in state.bandit.arms],
                     "max_seen_cost": state.bandit.max_seen_cost,
@@ -886,7 +895,7 @@ class ViaPolicy:
             if state.greedy_counts:
                 greedy_opts = list(state.greedy_counts)
                 entry["greedy"] = {
-                    "options": [option_to_dict(o) for o in greedy_opts],
+                    "options": [encode_option(o) for o in greedy_opts],
                     "counts": [state.greedy_counts[o] for o in greedy_opts],
                     "sums": [state.greedy_sums.get(o, 0.0) for o in greedy_opts],
                 }
@@ -903,7 +912,7 @@ class ViaPolicy:
             # without it still load, with a reseeded RNG.)
             "rng": self._rng.bit_generator.state,
             "n_epsilon_explorations": self.n_epsilon_explorations,
-            "history": history_to_dict(self.history),
+            "history": history_to_dict(self.history, codec),
             "pair_states": pair_states,
         }
 
@@ -914,9 +923,12 @@ class ViaPolicy:
         formats.  For v2, predictor/tomography and per-pair pruning are
         rebuilt deterministically from the restored history, then the
         saved exploration counts are overlaid onto the fresh bandits.
+        Equal option payloads decode to one shared option.
         """
-        from repro.core.history import _decode_key, option_from_dict
+        from repro.core.history import _decode_key
 
+        codec = CheckpointCodec()
+        decode_option = codec.decode_option
         fmt = payload.get("format")
         if fmt not in ("via-policy-state-v1", "via-policy-state-v2"):
             raise ValueError(f"unrecognised checkpoint format: {fmt!r}")
@@ -925,7 +937,7 @@ class ViaPolicy:
                 f"checkpoint optimises {payload.get('metric')!r}, "
                 f"policy optimises {self.config.metric!r}"
             )
-        self.history = history_from_dict(payload["history"])
+        self.history = history_from_dict(payload["history"], codec)
         self._period = -1  # force a refresh on the next call
         self._pair_state = {}
         self._predictor = None
@@ -943,11 +955,11 @@ class ViaPolicy:
         self._refresh(period)
         for entry in payload.get("pair_states", ()):
             pair_key = (_decode_key(entry["pair"][0]), _decode_key(entry["pair"][1]))
-            options = [option_from_dict(o) for o in entry["options"]]
+            options = [decode_option(o) for o in entry["options"]]
             state, _ = self._state_for(pair_key, bool(entry["direct_blocked"]), options)
             bandit_data = entry.get("bandit")
             if bandit_data is not None and state.bandit is not None:
-                arms = [option_from_dict(o) for o in bandit_data["arms"]]
+                arms = [decode_option(o) for o in bandit_data["arms"]]
                 state.bandit.restore_state(
                     {
                         arm: (int(count), float(cost_sum))
@@ -962,7 +974,7 @@ class ViaPolicy:
                 for opt_data, count, total in zip(
                     greedy["options"], greedy["counts"], greedy["sums"]
                 ):
-                    option = option_from_dict(opt_data)
+                    option = decode_option(opt_data)
                     state.greedy_counts[option] = int(count)
                     state.greedy_sums[option] = float(total)
         if saved_refreshes is not None:

@@ -95,6 +95,9 @@ def recover(
             )
             report.snapshot_outcome = "corrupt"
             report.snapshot_seq = 0
+    # The parsed snapshot is the largest tree a restart holds: release it
+    # before the replay rather than when this function returns.
+    del payload
 
     tail = store.records_after(report.snapshot_seq)
     report.n_corrupt += tail.n_corrupt

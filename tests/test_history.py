@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import inspect
 import json
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import history as history_module
 from repro.core.history import (
     CallHistory,
+    CheckpointCodec,
     RunningStat,
     confidence_bounds,
     history_from_dict,
     history_to_dict,
+    option_from_dict,
+    option_to_dict,
     sem_floor,
 )
 from repro.netmodel.metrics import PathMetrics
@@ -336,3 +342,127 @@ class TestCheckpointValidation:
                 stat.mean_metrics()
         reloaded = history_from_dict(json.loads(json.dumps(history_to_dict(history))))
         assert reloaded.total_calls() == history.total_calls()
+
+
+# ----------------------------------------------------------------------
+# CheckpointCodec: shared leaves must not change a verdict or a spelling
+# ----------------------------------------------------------------------
+
+#: Relay ids spelled the ways JSON can spell one integer (True == 1 == 1.0
+#: and -0.0 == 0.0 == 0, each hashing alike), plus one payload the
+#: constructor refuses.
+SPELLINGS = [
+    {"kind": "bounce", "ingress": 1, "egress": 1},
+    {"kind": "bounce", "ingress": True, "egress": True},
+    {"kind": "bounce", "ingress": 1.0, "egress": 1.0},
+    {"kind": "transit", "ingress": 1, "egress": 2},
+    {"kind": "transit", "ingress": True, "egress": 2.0},
+    {"kind": "transit", "ingress": 0, "egress": 2},
+    {"kind": "transit", "ingress": 0.0, "egress": 2},
+    {"kind": "transit", "ingress": -0.0, "egress": 2},
+    {"kind": "transit", "ingress": 1, "egress": True},  # 1 == True: refused
+]
+
+
+def _orders() -> list[list[dict]]:
+    """Every two spellings in both orders, and the whole list both ways."""
+    pairs = [[a, b] for a in SPELLINGS for b in SPELLINGS if a is not b]
+    return pairs + [SPELLINGS, SPELLINGS[::-1]]
+
+
+def _spelled(option: RelayOption) -> tuple:
+    """An option with its ids' exact spellings beside it."""
+    return option, repr(option.ingress), repr(option.egress)
+
+
+def _outcome(decode, data: dict):
+    """What decoding ``data`` gives: the error's type, or the option."""
+    try:
+        option = decode(dict(data))
+    except Exception as exc:  # the verdict is part of the contract
+        return type(exc)
+    return _spelled(option)
+
+
+def _memo_mismatches(codec_class) -> list:
+    """Orders in which a fresh ``codec_class().decode_option`` gives any
+    other outcome than the unmemoized :func:`option_from_dict`."""
+    mismatches = []
+    for order in _orders():
+        codec = codec_class()
+        got = [_outcome(codec.decode_option, data) for data in order]
+        want = [_outcome(option_from_dict, data) for data in order]
+        if got != want:
+            mismatches.append((order, got, want))
+    return mismatches
+
+
+def _planted_codec(old: str, new: str) -> type:
+    """CheckpointCodec from a copy of the history module with ``old`` in
+    its source replaced by ``new``."""
+    source = inspect.getsource(history_module)
+    assert source.count(old) == 1, f"planted-bug anchor moved: {old!r}"
+    module = types.ModuleType("planted_history")
+    exec(compile(source.replace(old, new), history_module.__file__, "exec"), vars(module))
+    return module.CheckpointCodec
+
+
+class TestCheckpointCodec:
+    def test_restore_memo_is_exactly_the_constructor(self):
+        assert _memo_mismatches(CheckpointCodec) == []
+
+    def test_a_memo_keyed_on_values_alone_is_caught(self):
+        planted = _planted_codec(
+            'key = (data["kind"], ingress, egress, type(ingress), type(egress))',
+            'key = (data["kind"], ingress, egress)',
+        )
+        assert _memo_mismatches(planted)
+
+    def test_equal_integer_payloads_share_one_option(self):
+        codec = CheckpointCodec()
+        first = codec.decode_option({"kind": "transit", "ingress": 3, "egress": 4})
+        assert codec.decode_option({"kind": "transit", "ingress": 3, "egress": 4}) is first
+
+    def test_restored_history_keeps_every_spelling(self):
+        valid = [d for d in SPELLINGS if _outcome(option_from_dict, d) is not ValueError]
+        entry = {"count": 1, "mean": [1.0, 0.0, 1.0], "m2": [0.0, 0.0, 0.0]}
+        payload = {
+            "window_hours": 24.0,
+            "windows": {"0": [
+                {**entry, "pair": [1, 10 + i], "option": dict(d)} for i, d in enumerate(valid)
+            ]},
+        }
+        restored = history_from_dict(payload)
+        keys = [key for key, _stat in restored.window_items(0)]
+        assert [(pair, _spelled(option)) for pair, option in keys] == [
+            ((1, 10 + i), _outcome(option_from_dict, d)) for i, d in enumerate(valid)
+        ]
+
+    def test_shared_leaves_write_each_mention_as_a_copy_would(self):
+        """Equal options and pair keys spelled differently (1, True, 1.0)
+        must keep their own spellings in the shared tree."""
+        history = CallHistory()
+        for i, option in enumerate([
+            RelayOption.bounce(1), RelayOption.bounce(True), RelayOption.bounce(1.0),
+            RelayOption.transit(1, 2), RelayOption.transit(1.0, 2), DIRECT,
+        ]):
+            for pair in ((1, 2), (True, 2), (1.0, 2), ("a", "b"), ((1, 2), (3, 4))):
+                history.add(pair, option, 1.0 + i, metrics(100.0 + i))
+                history.add((i, pair[0]), option, 30.0, metrics(90.0))
+        copies = {
+            "window_hours": history.window_hours,
+            "windows": {
+                str(window): [
+                    {
+                        "pair": [history_module._encode_key(side) for side in pair],
+                        "option": option_to_dict(option),
+                        "count": stat.count,
+                        "mean": [float(x) for x in stat._mean],
+                        "m2": [float(x) for x in stat._m2],
+                    }
+                    for (pair, option), stat in history.window_items(window)
+                ]
+                for window in history.windows()
+            },
+        }
+        assert json.dumps(history_to_dict(history)) == json.dumps(copies)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
+import weakref
 
 import numpy as np
 
@@ -176,6 +177,43 @@ class TestCrashRecoveryEquivalence:
         store.snapshot(recovered)
         assert store.snapshot_seq() == store.wal.last_seq
         assert len(parsed) == 2
+
+    def test_the_parsed_snapshot_is_released_before_the_replay(self, tmp_path):
+        """The parsed tree is a restart's largest object: recover() must let
+        it go once restored, not hold it through the whole WAL tail."""
+
+        class Tree(dict):  # a dict that can be watched with a weakref
+            pass
+
+        live = make_controller(tmp_path / "store")
+        drive(live, 20)
+        live.save_store_snapshot()
+        drive(live, 5, seed=8)
+
+        store = Store(tmp_path / "store")
+        payload, seq = store.read_snapshot()
+        payload["controller"] = Tree(payload["controller"])
+        released = weakref.ref(payload["controller"])
+        handoff = [(payload, seq)]
+        store.read_snapshot = handoff.pop  # hands over the only reference
+        del payload
+
+        recovered = make_controller()
+        alive_at_replay = []
+
+        class Target:
+            registry = recovered.registry
+
+            def restore_dict(self, tree):
+                recovered.restore_dict(tree)
+
+            def apply_record(self, record):
+                alive_at_replay.append(released() is not None)
+                recovered.apply_record(record)
+
+        report = recover(store, Target())
+        assert report.snapshot_outcome == "ok" and report.n_replayed == 5 * 2 + len(SITES)
+        assert alive_at_replay and not any(alive_at_replay)
 
     def test_crash_between_snapshot_and_segment_drop(self, tmp_path):
         """The snapshot rename landed, the covered segments were never
