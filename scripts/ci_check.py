@@ -27,9 +27,11 @@ Runs, in order, failing fast:
    the resource-trend watchdogs armed.  The hours-long run is
    ``repro soak --budget full``; this leg proves the harness itself and
    catches gross leaks in under a minute;
-7. the repo benchmark at smoke scale (``make perf-smoke``), after five
+7. the repo benchmark at smoke scale (``make perf-smoke``), after six
    same-process ratio checks (the wire codec's shape; ``World.sample_call``
-   under half its reference composition, streams equal; a WAL append of
+   under half its reference composition, streams equal; ``generate_trace``
+   under :data:`TRACE_RATIO_LIMIT` of its scalar-draw reference, traces
+   equal; a WAL append of
    a validated wire line under half ``Store.log_request`` of the same
    values; ``assign_many``/``observe_many`` under
    :data:`VECTOR_RATIO_LIMIT` of the scalar loop on the same chunks,
@@ -535,6 +537,58 @@ def _sampler_ratio() -> bool:
     return True
 
 
+#: ``_trace_ratio``'s limit.  It sits between the readings it must tell
+#: apart (``docs/performance.md``, *The trace generator*): ``generate_trace``
+#: reads ~0.3x its scalar-draw definition; with the per-call loop back on
+#: scalar ``rng.integers``/``rng.random`` it reads ~0.5x, with the population
+#: back on ``rng.choice`` ~0.67x, and with both (the definition itself) ~0.9x.
+TRACE_RATIO_LIMIT = 0.4
+
+
+def _trace_ratio() -> bool:
+    """The trace generator against its definition (the scalar draws
+    written out in ``tests/trace_reference.py``): the same calls, field for
+    field and type for type, under :data:`TRACE_RATIO_LIMIT` of the time,
+    on ``perf/``'s probe config -- in the form of :func:`_sampler_ratio`."""
+    print("== perf: generate_trace vs the scalar-draw reference", flush=True)
+    from dataclasses import astuple
+
+    from repro.netmodel import TopologyConfig, build_topology
+    from repro.workload import WorkloadConfig, generate_trace
+    from tests.trace_reference import reference_generate_trace
+
+    topology = build_topology(TopologyConfig(n_countries=20, n_relays=10))
+    config = WorkloadConfig(n_calls=20_000, n_pairs=600)
+
+    def typed(trace):
+        return [tuple((type(v), v) for v in astuple(call)) for call in trace.calls]
+
+    if typed(generate_trace(topology, config, n_days=10)) != typed(
+        reference_generate_trace(topology, config, n_days=10)
+    ):
+        print("ci-check: FAILED at trace-ratio (generate_trace and the reference "
+              "produced different traces)")
+        return False
+
+    fast, slow = _interleaved(
+        lambda: generate_trace(topology, config, n_days=10),
+        lambda: reference_generate_trace(topology, config, n_days=10),
+        number=1,
+    )
+    print(
+        f"  generate_trace {min(fast):.3f} s vs reference {min(slow):.3f} s "
+        f"({min(fast) / min(slow):.2f}x, limit {TRACE_RATIO_LIMIT}x), traces equal over "
+        f"{config.n_calls} calls; runs (s) generate_trace "
+        f"{' / '.join(f'{t:.3f}' for t in fast)}, reference "
+        f"{' / '.join(f'{t:.3f}' for t in slow)}"
+    )
+    if min(fast) >= TRACE_RATIO_LIMIT * min(slow):
+        print(f"ci-check: FAILED at trace-ratio (a trace costs {TRACE_RATIO_LIMIT}x its "
+              "scalar-draw definition or more: are the draws read from raw words?)")
+        return False
+    return True
+
+
 def _wal_ratio() -> bool:
     """Logging a validated wire line against logging the same message as
     values (the typed helpers ``perf/`` times, which must ``json.dumps``
@@ -705,10 +759,11 @@ def _snapshot_ratio() -> bool:
 
 def _perf_smoke(env: dict[str, str]) -> bool:
     """The repo benchmark's correctness checks (``make perf-smoke``), after
-    the codec, sampler, WAL, vector and snapshot ratio checks."""
+    the codec, sampler, trace, WAL, vector and snapshot ratio checks."""
     if not (
         _codec_ratios()
         and _sampler_ratio()
+        and _trace_ratio()
         and _wal_ratio()
         and _vector_ratio()
         and _snapshot_ratio()

@@ -10,7 +10,10 @@ both fail: a few AS pairs carry thousands of calls, most carry a handful.
 
 from __future__ import annotations
 
+import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -77,8 +80,90 @@ _HOURLY_WEIGHTS = np.array(
 _WEEKDAY_WEIGHTS = np.array([0.95, 0.93, 0.94, 0.97, 1.02, 1.12, 1.07])
 
 
-def _pick_weighted_as(rng: np.random.Generator, asns: np.ndarray, weights: np.ndarray) -> int:
-    return int(asns[rng.choice(len(asns), p=weights)])
+def _weighted_picker(rng: np.random.Generator, asns: np.ndarray, weights: np.ndarray):
+    """A ``pick()`` returning ``int(asns[rng.choice(len(asns), p=weights)])``.
+
+    ``Generator.choice`` rebuilds ``cdf = p.cumsum(); cdf /= cdf[-1]`` on
+    every call, then searches one ``rng.random()`` in it (``side="right"``);
+    here the CDF is built once and searched with ``bisect_right``, which
+    draws the same double and finds the same index."""
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    bounds = cdf.tolist()
+    values = asns.tolist()
+    random = rng.random
+
+    def pick() -> int:
+        return values[bisect_right(bounds, random())]
+
+    return pick
+
+
+#: Raw words read from the bit generator at a time by :func:`_scalar_draws`.
+#: One block for the whole trace (seven words a call), held as a list,
+#: raised the replay benchmark's peak RSS by ~24 MiB; a fixed chunk does not.
+_RAW_CHUNK = 4096
+
+_MASK32 = 0xFFFF_FFFF
+_MASK64 = 0xFFFF_FFFF_FFFF_FFFF
+
+
+def _scalar_draws(rng: np.random.Generator):
+    """``(integers, random)``: what scalar ``int(rng.integers(n))`` and
+    ``rng.random()`` would return, in any interleaving, read from the PCG64
+    bit generator's raw 64-bit words (numpy's bounded-integer algorithm,
+    written out).
+
+    * ``integers(n)`` with ``r = n - 1``: ``r == 0`` draws nothing;
+      ``r < 2**32`` is Lemire's method on a 32-bit half (a fresh word gives
+      its low half and buffers its high half, as PCG64's own
+      ``has_uint32``/``uinteger`` do), rejecting while the product's low
+      half is under ``(2**32 - 1 - r) % n`` -- at ``n == 2**32`` that is the
+      bare half, which numpy returns without the multiply; anything wider
+      is the 64-bit Lemire on a whole word.
+    * ``random()`` is ``(word >> 11) * 2**-53``; it leaves the buffered
+      half alone.
+
+    The words are read ahead in chunks, so ``rng`` is left past the draws
+    taken: use it only on a generator nobody draws from afterwards."""
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    has_half = bool(state["has_uint32"])
+    half = state["uinteger"]
+    next_word = chain.from_iterable(
+        iter(lambda: bit_generator.random_raw(_RAW_CHUNK).tolist(), None)
+    ).__next__
+
+    def integers(n: int) -> int:
+        nonlocal has_half, half
+        r = n - 1
+        if 0 < r <= _MASK32:
+            while True:
+                if has_half:
+                    has_half = False
+                    m = half * n
+                else:
+                    word = next_word()
+                    has_half = True
+                    half = word >> 32
+                    m = (word & _MASK32) * n
+                low = m & _MASK32
+                if low >= n or low >= (_MASK32 - r) % n:
+                    return m >> 32
+        if r == 0:
+            return 0
+        if not 0 < r < 2**63:
+            raise ValueError(f"integers bound out of range [1, 2**63]: {n}")
+        while True:
+            m = next_word() * n
+            low = m & _MASK64
+            if low >= n or low >= (_MASK64 - r) % n:
+                return m >> 64
+
+    def random() -> float:
+        return (next_word() >> 11) * 2.0**-53
+
+    return integers, random
 
 
 def _build_pair_population(
@@ -103,6 +188,7 @@ def _build_pair_population(
     n_international = int(round(config.frac_international * config.n_pairs))
     n_domestic = max(0, config.n_pairs - n_intra - n_international)
 
+    pick_as = _weighted_picker(rng, asns, as_weights)
     pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
 
@@ -125,19 +211,19 @@ def _build_pair_population(
                 added += 1
 
     def sample_intra() -> tuple[int, int] | None:
-        src = _pick_weighted_as(rng, asns, as_weights)
+        src = pick_as()
         return (src, src)
 
     def sample_international() -> tuple[int, int] | None:
-        src = _pick_weighted_as(rng, asns, as_weights)
+        src = pick_as()
         for _ in range(20):
-            dst = _pick_weighted_as(rng, asns, as_weights)
+            dst = pick_as()
             if topology.ases[dst].country != topology.ases[src].country:
                 return (src, dst)
         return None
 
     def sample_domestic() -> tuple[int, int] | None:
-        src = _pick_weighted_as(rng, asns, as_weights)
+        src = pick_as()
         members = by_country[topology.ases[src].country]
         if len(members) < 2:
             return None
@@ -193,6 +279,8 @@ def generate_trace(
     n_days: int = 60,
 ) -> TraceDataset:
     """Generate a chronologically sorted call trace over ``n_days``."""
+    if isinstance(n_days, bool) or not isinstance(n_days, numbers.Integral) or n_days < 1:
+        raise ValueError(f"n_days must be an int >= 1: {n_days!r}")
     config = config or WorkloadConfig()
     rng = np.random.default_rng(config.seed)
     pairs, pair_weights = _build_pair_population(topology, config, rng)
@@ -231,31 +319,32 @@ def generate_trace(
     t_hours = days * 24.0 + hours + minutes
     order = np.argsort(t_hours, kind="stable")
 
+    # Per call, in this order: the two user ids, the two prefixes, the two
+    # wireless flags and the blocked flag -- the scalar draws
+    # ``tests/trace_reference.py`` makes, read from raw words.
+    integers, random = _scalar_draws(rng)
     ases = topology.ases
+    endpoints = {
+        asn: (ases[asn].country, user_base[asn], pool, int(ases[asn].n_prefixes),
+              float(ases[asn].wireless_fraction))
+        for asn, pool in user_pool.items()
+    }
+    blocked = float(config.frac_direct_blocked)
     calls: list[Call] = []
-    for call_id, i in enumerate(order):
-        a, b = pairs[pair_idx[i]]
-        src, dst = (b, a) if flip[i] else (a, b)
-        src_as = ases[src]
-        dst_as = ases[dst]
-        src_user = user_base[src] + int(rng.integers(user_pool[src]))
-        dst_user = user_base[dst] + int(rng.integers(user_pool[dst]))
-        calls.append(
-            Call(
-                call_id=call_id,
-                t_hours=float(t_hours[i]),
-                src_asn=src,
-                dst_asn=dst,
-                src_country=src_as.country,
-                dst_country=dst_as.country,
-                src_user=src_user,
-                dst_user=dst_user,
-                duration_s=float(durations[i]),
-                src_prefix=int(rng.integers(src_as.n_prefixes)),
-                dst_prefix=int(rng.integers(dst_as.n_prefixes)),
-                src_wireless=bool(rng.random() < src_as.wireless_fraction),
-                dst_wireless=bool(rng.random() < dst_as.wireless_fraction),
-                direct_blocked=bool(rng.random() < config.frac_direct_blocked),
-            )
+    append = calls.append
+    for call_id, (t, duration, k, flipped) in enumerate(
+        zip(t_hours[order].tolist(), durations[order].tolist(),
+            pair_idx[order].tolist(), flip[order].tolist())
+    ):
+        a, b = pairs[k]
+        src, dst = (b, a) if flipped else (a, b)
+        src_country, src_base, src_pool, src_prefixes, src_wireless = endpoints[src]
+        dst_country, dst_base, dst_pool, dst_prefixes, dst_wireless = endpoints[dst]
+        src_user = src_base + integers(src_pool)
+        dst_user = dst_base + integers(dst_pool)
+        append(
+            Call(call_id, t, src, dst, src_country, dst_country, src_user, dst_user,
+                 duration, integers(src_prefixes), integers(dst_prefixes),
+                 random() < src_wireless, random() < dst_wireless, random() < blocked)
         )
     return TraceDataset(calls=calls, n_days=n_days, config=config)

@@ -69,6 +69,11 @@ class TestGenerateTrace:
         t2 = generate_trace(small_world.topology, config, n_days=5)
         assert t1.calls == t2.calls
 
+    @pytest.mark.parametrize("n_days", [0, -1, 2.5, True])
+    def test_rejects_bad_n_days(self, small_world, n_days):
+        with pytest.raises(ValueError, match="n_days"):
+            generate_trace(small_world.topology, WorkloadConfig(n_calls=50, n_pairs=10), n_days=n_days)
+
     def test_different_seeds_differ(self, small_world):
         t1 = generate_trace(small_world.topology, WorkloadConfig(n_calls=500, n_pairs=50, seed=1), n_days=5)
         t2 = generate_trace(small_world.topology, WorkloadConfig(n_calls=500, n_pairs=50, seed=2), n_days=5)
