@@ -2,6 +2,11 @@
 
 Runs, in order, failing fast:
 
+0. the import leg: each entry point in :data:`IMPORT_BANS` is imported in
+   a fresh interpreter, which must not load the packages banned for it.
+   scipy is only the test arbiter of tomography's LSQR (a ``dev`` extra),
+   and networkx is imported where it is used, so neither may ride in on
+   an ``import repro``.  It checks a module set, not a time;
 1. ``scripts/check_docs.py`` — documentation referential integrity;
 2. the tier-1 test suite (``pytest tests/``) under the ``ci`` hypothesis
    profile;
@@ -52,6 +57,7 @@ dependencies.  Denominators come from each file's compiled code objects
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -68,6 +74,14 @@ VERIFY_SRC = REPO_ROOT / "src" / "repro" / "verify"
 #: stay cold on a passing run; everything else must be warm.
 COVERAGE_FLOOR = 0.65
 
+#: Entry point -> top-level packages that importing it must not load.
+IMPORT_BANS = {
+    "repro": ("scipy",),
+    "repro.deployment": ("scipy", "networkx"),
+    "repro.simulation": ("scipy",),
+    "repro.cli": ("scipy",),
+}
+
 
 def _run(step: str, argv: list[str], env: dict[str, str]) -> bool:
     print(f"== {step}: {' '.join(argv)}", flush=True)
@@ -76,6 +90,33 @@ def _run(step: str, argv: list[str], env: dict[str, str]) -> bool:
         print(f"ci-check: FAILED at {step} (exit {result.returncode})")
         return False
     return True
+
+
+def _import_leg(env: dict[str, str]) -> bool:
+    """Import each entry point in a fresh interpreter; fail if any loads a
+    package :data:`IMPORT_BANS` names for it."""
+    print("== imports: entry points load no banned package", flush=True)
+    probe = (
+        "import importlib, json, sys; importlib.import_module(sys.argv[1]); "
+        "print(json.dumps(sorted({m.partition('.')[0] for m in sys.modules})))"
+    )
+    ok = True
+    for entry, banned in IMPORT_BANS.items():
+        result = subprocess.run(
+            [sys.executable, "-c", probe, entry], cwd=REPO_ROOT, env=env,
+            capture_output=True, text=True,
+        )
+        if result.returncode != 0:
+            print(result.stderr)
+            print(f"ci-check: FAILED at imports (import {entry} exited {result.returncode})")
+            return False
+        loaded = sorted(set(banned) & set(json.loads(result.stdout)))
+        print(f"  import {entry}: {'loads ' + ', '.join(loaded) if loaded else 'clean'}")
+        ok = ok and not loaded
+    if not ok:
+        print("ci-check: FAILED at imports (a banned package is imported at module "
+              "load: import it where it is used, or not at all)")
+    return ok
 
 
 def _executable_lines(path: Path) -> set[int]:
@@ -791,6 +832,8 @@ def main() -> int:
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     env.setdefault("REPRO_HYPOTHESIS_PROFILE", "ci")
+    if not _import_leg(env):
+        return 1
     steps = (
         ("docs-check", [sys.executable, "scripts/check_docs.py"]),
         ("tier-1 tests", [sys.executable, "-m", "pytest", "tests/"]),
@@ -814,7 +857,7 @@ def main() -> int:
     if not _perf_smoke(env):
         return 1
     print(
-        "ci-check: OK (docs, tier-1, verify + coverage floor, shard smoke, "
+        "ci-check: OK (imports, docs, tier-1, verify + coverage floor, shard smoke, "
         "registry lint, soak smoke, ratio legs + perf smoke)"
     )
     return 0

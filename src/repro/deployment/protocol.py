@@ -119,6 +119,29 @@ __all__ = [
 
 MAX_LINE_BYTES = 64 * 1024
 
+
+def _keep_socket_reads_off_mmap() -> None:
+    """Free one 1 MiB block, so glibc's malloc serves asyncio's reads from its heap.
+
+    An asyncio transport reads into a fresh 256 KiB buffer (its
+    ``max_size``) and shrinks it to the bytes received.  Under glibc's
+    start-up thresholds (128 KiB) a request that size that the heap cannot
+    place is ``mmap``-ed, and the shrunk block is returned to the kernel:
+    every read then costs syscalls and a page fault.  Freeing one
+    ``mmap``-ed block raises both thresholds for the process (``mmap`` to
+    the block's size, heap trim to twice it), so read buffers come from the
+    heap and are reused.  Measured on the controller under ``wire_overload``:
+    13K-28K more page faults per run and ~15 % more CPU per call without
+    it.  Another allocator ignores the free; the block is ``calloc``-ed
+    and never touched, so it costs no page.
+    """
+    bytes(1 << 20)
+
+
+# Every process on the wire -- controller, client agents, load generators --
+# imports this module before it reads a socket.
+_keep_socket_reads_off_mmap()
+
 PROTOCOL_V1 = 1
 PROTOCOL_V2 = 2
 LATEST_PROTOCOL = PROTOCOL_V2

@@ -54,8 +54,10 @@ class WorkloadConfig:
     seed: int = 2016
 
     def __post_init__(self) -> None:
-        if self.n_calls < 1 or self.n_pairs < 1:
-            raise ValueError("n_calls and n_pairs must be positive")
+        for name in ("n_calls", "n_pairs", "users_per_as"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1: {value!r}")
         if not 0.0 <= self.frac_intra_as <= 1.0:
             raise ValueError("frac_intra_as must be in [0, 1]")
         if not 0.0 <= self.frac_international <= 1.0:

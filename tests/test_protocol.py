@@ -527,3 +527,45 @@ class TestGeneratedWireValues:
             menu.append(RelayOption.transit(a, b))
         assert protocol._is_menu([encode_option(o) for o in menu])
         assert protocol._is_menu([{"kind": "direct"}])  # absent ids read as None
+
+
+#: 2,000 socket reads of 300 bytes into asyncio-sized (256 KiB) buffers,
+#: in a fresh interpreter whose free heap chunks that size are taken first
+#: (as a long-running server's are): prints the page faults they took.
+_READ_FAULTS = """
+import resource, socket, sys
+if sys.argv[1] == "protocol":
+    import repro.deployment.protocol
+held = [bytes(256 * 1024) for _ in range(64)]
+a, b = socket.socketpair()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(2000):
+    a.sendall(b"x" * 300)
+    b.recv(256 * 1024)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _read_faults(imports: str) -> int:
+    import os
+    import subprocess
+    import sys
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", _READ_FAULTS, imports], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    return int(out.stdout)
+
+
+class TestSocketReadBuffers:
+    def test_importing_the_protocol_keeps_read_buffers_off_mmap(self):
+        """A bare process on glibc maps and unmaps each 256 KiB read buffer
+        (a page fault or more per read); once the protocol is imported the
+        buffers come from the heap."""
+        pytest.importorskip("resource")
+        cold = _read_faults("bare")
+        if cold < 2000:
+            pytest.skip(f"this allocator does not map each read buffer ({cold} faults)")
+        assert _read_faults("protocol") < 200

@@ -17,6 +17,19 @@ class TestWorkloadConfig:
         with pytest.raises(ValueError):
             WorkloadConfig(n_calls=0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n_pairs", 2.5), ("n_pairs", True), ("n_calls", 100.0), ("n_calls", True),
+         ("users_per_as", 0), ("users_per_as", 2.5), ("users_per_as", True)],
+    )
+    def test_rejects_a_count_that_is_not_an_int_of_at_least_one(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            WorkloadConfig(**{field: value})
+
+    def test_accepts_numpy_ints(self):
+        config = WorkloadConfig(n_calls=np.int64(50), n_pairs=np.int32(10), users_per_as=np.uint16(7))
+        assert (config.n_calls, config.n_pairs, config.users_per_as) == (50, 10, 7)
+
     def test_rejects_fraction_overflow(self):
         with pytest.raises(ValueError):
             WorkloadConfig(frac_intra_as=0.6, frac_international=0.6)
