@@ -131,7 +131,7 @@ def _keep_socket_reads_off_mmap() -> None:
     ``mmap``-ed block raises both thresholds for the process (``mmap`` to
     the block's size, heap trim to twice it), so read buffers come from the
     heap and are reused.  Measured on the controller under ``wire_overload``:
-    13K-28K more page faults per run and ~15 % more CPU per call without
+    10K-25K more page faults per run and ~15 % more CPU per call without
     it.  Another allocator ignores the free; the block is ``calloc``-ed
     and never touched, so it costs no page.
     """
