@@ -2,11 +2,14 @@
 
 Runs, in order, failing fast:
 
-0. the import leg: each entry point in :data:`IMPORT_BANS` is imported in
-   a fresh interpreter, which must not load the packages banned for it.
-   scipy is only the test arbiter of tomography's LSQR (a ``dev`` extra),
-   and networkx is imported where it is used, so neither may ride in on
-   an ``import repro``.  It checks a module set, not a time;
+0. the import leg: each import in :data:`IMPORT_BANS` runs in a fresh
+   interpreter, which must not load the modules banned for it.  scipy is
+   only the test arbiter of tomography's LSQR (a ``dev`` extra), and
+   networkx is imported where it is used, so neither may ride in on an
+   ``import repro``.  The controller child's own imports
+   (``perf/server_child.py``) are held to module granularity by
+   :data:`SERVER_CHILD_BANS`: the serving layers, nothing else.  It
+   checks a module set, not a time;
 1. ``scripts/check_docs.py`` — documentation referential integrity;
 2. the tier-1 test suite (``pytest tests/``) under the ``ci`` hypothesis
    profile;
@@ -45,7 +48,14 @@ Runs, in order, failing fast:
    ``perf/`` harness self-tests, then one second of every
    ``BENCHMARK.json`` workload -- the build fails when any workload's
    correctness checks fail (speed is judged by the benchmark driver,
-   never here).
+   never here);
+8. the driver's output contract: every workload in the driver's form
+   (``perf/run.py --workload W --seed 3 --seconds 1 --trace T``, both
+   trace modes).  Each must exit 0 with a last line that parses as
+   strict JSON: no NaN, Infinity or null, ``correct`` true, every metric
+   a finite number, in ``BENCHMARK.json`` order.  A probe that raises is
+   reported as ``null``, and ``json.dumps`` writes NaN as ``NaN``; both
+   pass ``--smoke`` and are refused by the driver.
 
 The coverage leg uses :mod:`trace` (stdlib) rather than ``coverage.py``
 deliberately: the reproduction environment is offline and must not grow
@@ -57,7 +67,9 @@ dependencies.  Denominators come from each file's compiled code objects
 
 from __future__ import annotations
 
+import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -65,6 +77,7 @@ import tempfile
 import trace
 import types
 from pathlib import Path
+from typing import NoReturn
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 VERIFY_SRC = REPO_ROOT / "src" / "repro" / "verify"
@@ -74,13 +87,38 @@ VERIFY_SRC = REPO_ROOT / "src" / "repro" / "verify"
 #: stay cold on a passing run; everything else must be warm.
 COVERAGE_FLOOR = 0.65
 
-#: Entry point -> top-level packages that importing it must not load.
+#: Import statements -> modules that running them must not load (a name
+#: bans the module and everything under it).  The star imports resolve
+#: every lazy re-export of the package.
 IMPORT_BANS = {
-    "repro": ("scipy",),
-    "repro.deployment": ("scipy", "networkx"),
-    "repro.simulation": ("scipy",),
-    "repro.cli": ("scipy",),
+    "from repro import *": ("scipy",),
+    "from repro.deployment import *": ("scipy", "networkx"),
+    "import repro.simulation": ("scipy",),
+    "import repro.cli": ("scipy",),
 }
+
+#: The controller child of the repo benchmark: what its imports may not
+#: load.  A controller restart compiles every module it imports, so the
+#: serving path must not reach the world model, the trace generator, the
+#: replay and analysis planes, the clients and ring, or the policies the
+#: controller never builds.
+SERVER_CHILD = REPO_ROOT / "perf" / "server_child.py"
+SERVER_CHILD_BANS = (
+    "repro.netmodel.world",
+    "repro.netmodel.topology",
+    "repro.netmodel.graph",
+    "repro.workload",
+    "repro.simulation",
+    "repro.analysis",
+    "repro.deployment.ring",
+    "repro.deployment.client",
+    "repro.deployment.testbed",
+    "repro.core.multipath",
+    "repro.core.hybrid",
+    "repro.core.sharding",
+    "networkx",
+    "scipy",
+)
 
 
 def _run(step: str, argv: list[str], env: dict[str, str]) -> bool:
@@ -92,29 +130,51 @@ def _run(step: str, argv: list[str], env: dict[str, str]) -> bool:
     return True
 
 
+def _server_child_imports() -> str:
+    """The unconditional imports at the head of the controller child's
+    ``_serve``, as source: what every controller start runs."""
+    tree = ast.parse(SERVER_CHILD.read_text(encoding="utf-8"))
+    serve = next(
+        node for node in tree.body
+        if isinstance(node, ast.AsyncFunctionDef) and node.name == "_serve"
+    )
+    return "\n".join(
+        ast.unparse(node) for node in serve.body if isinstance(node, ast.ImportFrom)
+    )
+
+
 def _import_leg(env: dict[str, str]) -> bool:
-    """Import each entry point in a fresh interpreter; fail if any loads a
-    package :data:`IMPORT_BANS` names for it."""
-    print("== imports: entry points load no banned package", flush=True)
+    """Run each import in :data:`IMPORT_BANS`, and the controller child's,
+    in a fresh interpreter; fail if any loads a module banned for it."""
+    print("== imports: entry points load no banned module", flush=True)
     probe = (
-        "import importlib, json, sys; importlib.import_module(sys.argv[1]); "
-        "print(json.dumps(sorted({m.partition('.')[0] for m in sys.modules})))"
+        "import json, sys; sys.path.insert(0, 'perf'); exec(sys.argv[1]); "
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    legs = [(code, code, banned) for code, banned in IMPORT_BANS.items()]
+    legs.append(
+        (_server_child_imports(), str(SERVER_CHILD.relative_to(REPO_ROOT)), SERVER_CHILD_BANS)
     )
     ok = True
-    for entry, banned in IMPORT_BANS.items():
+    for code, label, banned in legs:
         result = subprocess.run(
-            [sys.executable, "-c", probe, entry], cwd=REPO_ROOT, env=env,
+            [sys.executable, "-c", probe, code], cwd=REPO_ROOT, env=env,
             capture_output=True, text=True,
         )
         if result.returncode != 0:
             print(result.stderr)
-            print(f"ci-check: FAILED at imports (import {entry} exited {result.returncode})")
+            print(f"ci-check: FAILED at imports ({label} exited {result.returncode})")
             return False
-        loaded = sorted(set(banned) & set(json.loads(result.stdout)))
-        print(f"  import {entry}: {'loads ' + ', '.join(loaded) if loaded else 'clean'}")
+        modules = json.loads(result.stdout)
+        loaded = sorted(
+            m for m in modules if any(m == b or m.startswith(b + ".") for b in banned)
+        )
+        n_repro = sum(m == "repro" or m.startswith("repro.") for m in modules)
+        shown = "loads " + ", ".join(loaded) if loaded else "clean"
+        print(f"  {label}: {shown} ({len(modules)} modules, {n_repro} repro)")
         ok = ok and not loaded
     if not ok:
-        print("ci-check: FAILED at imports (a banned package is imported at module "
+        print("ci-check: FAILED at imports (a banned module is imported at module "
               "load: import it where it is used, or not at all)")
     return ok
 
@@ -821,6 +881,64 @@ def _perf_smoke(env: dict[str, str]) -> bool:
     return all(_run(step, argv, env) for step, argv in steps)
 
 
+def _reject_constant(name: str) -> NoReturn:
+    raise ValueError(f"non-finite constant {name}")
+
+
+def _contract_problem(stdout: str, bench: dict, trace: int) -> str | None:
+    """What is wrong with the last stdout line of one driver-form run, or
+    None: it must be strict JSON (no NaN, Infinity or null), ``correct``
+    true, and every metric a finite number, in ``BENCHMARK.json`` order."""
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    if not lines:
+        return "printed nothing"
+    try:
+        contract = json.loads(lines[-1], parse_constant=_reject_constant)
+    except ValueError as exc:
+        return f"last line is not strict JSON ({exc}): {lines[-1][:200]}"
+    if not isinstance(contract, dict) or contract.get("correct") is not True:
+        return f"not correct: {lines[-1][:200]}"
+    spec = [entry["name"] for entry in bench["per_layer" if trace else "end_to_end"]]
+    metrics = contract.get("metrics")
+    if not isinstance(metrics, dict) or list(metrics) != spec:
+        return "metric names differ from BENCHMARK.json's, or their order does"
+    bad = [
+        name for name, metric in metrics.items()
+        if not isinstance(metric, dict)
+        or isinstance(metric.get("value"), bool)
+        or not isinstance(metric.get("value"), (int, float))
+        or not math.isfinite(metric["value"])
+    ]
+    if bad:
+        return "not a finite number: " + ", ".join(bad)
+    return None
+
+
+def _contract_leg(env: dict[str, str]) -> bool:
+    """Every ``BENCHMARK.json`` workload in the driver's form, both trace
+    modes, one second each: the output contract the driver parses."""
+    print("== perf: the driver's output contract, every workload x trace 0/1", flush=True)
+    bench = json.loads((REPO_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    ok = True
+    for workload in (entry["name"] for entry in bench["workloads"]):
+        for trace in (0, 1):
+            argv = [sys.executable, "perf/run.py", "--workload", workload, "--seed", "3",
+                    "--seconds", "1", "--trace", str(trace)]
+            result = subprocess.run(
+                argv, cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=600
+            )
+            if result.returncode != 0:
+                problem = f"exit {result.returncode}: {result.stderr[-1000:]}"
+            else:
+                problem = _contract_problem(result.stdout, bench, trace)
+            print(f"  {workload} --trace {trace}: {problem or 'ok'}")
+            ok = ok and problem is None
+    if not ok:
+        print("ci-check: FAILED at the output contract (the benchmark driver would "
+              "refuse these runs as malformed)")
+    return ok
+
+
 def main() -> int:
     import platform
 
@@ -856,9 +974,11 @@ def main() -> int:
         return 1
     if not _perf_smoke(env):
         return 1
+    if not _contract_leg(env):
+        return 1
     print(
         "ci-check: OK (imports, docs, tier-1, verify + coverage floor, shard smoke, "
-        "registry lint, soak smoke, ratio legs + perf smoke)"
+        "registry lint, soak smoke, ratio legs + perf smoke, output contract)"
     )
     return 0
 

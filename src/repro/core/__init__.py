@@ -17,101 +17,51 @@ The pipeline of Figure 10:
 :mod:`repro.core.baselines` provides the oracle and both strawmen of §4.2.
 """
 
-from repro.core.keys import Granularity, PairKeyer, PairView
-from repro.core.history import CallHistory, RunningStat
-from repro.core.tomography import TomographyModel
-from repro.core.predictor import Prediction, Predictor
-from repro.core.topk import dynamic_top_k, fixed_top_k
-from repro.core.bandit import UCB1Explorer
-from repro.core.budget import BudgetGate, RelayLoadTracker
-from repro.core.policy import SelectionPolicy, ViaConfig, ViaPolicy, make_policy
-from repro.core.probing import ActiveProber, ProbeRequest
-from repro.core.caching import CachedAssignmentPolicy
-from repro.core.coordinates import CoordinateSystem, NodeCoordinate, VivaldiConfig
-from repro.core.costs import CostModel, MetricCost, MosCost, make_cost_model
-from repro.core.hybrid import HybridReactivePolicy, ProbePlan, blend_call_metrics
-from repro.core.baselines import (
-    DefaultPolicy,
-    OraclePolicy,
-    make_strawman_exploration,
-    make_strawman_prediction,
-    make_via,
-    via_config,
-)
-from repro.core.multipath import (
-    MultipathBanditPolicy,
-    MultipathPolicy,
-    PathSet,
-    RandomPathSetPolicy,
-    combine_duplicate,
-    combine_split,
-    combined_metrics,
-)
-from repro.core.sharding import ShardedPolicy
-from repro.core.registry import (
-    REGISTRY,
-    ConfigField,
-    PolicyEntry,
-    PolicyRegistry,
-    UnknownPolicyError,
-    build_policy,
-    policy_names,
-    register,
-    world_inter_relay,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Granularity",
-    "PairKeyer",
-    "PairView",
-    "CallHistory",
-    "RunningStat",
-    "TomographyModel",
-    "Prediction",
-    "Predictor",
-    "dynamic_top_k",
-    "fixed_top_k",
-    "UCB1Explorer",
-    "BudgetGate",
-    "RelayLoadTracker",
-    "CachedAssignmentPolicy",
-    "CoordinateSystem",
-    "NodeCoordinate",
-    "VivaldiConfig",
-    "CostModel",
-    "MetricCost",
-    "MosCost",
-    "make_cost_model",
-    "SelectionPolicy",
-    "ViaConfig",
-    "ViaPolicy",
-    "make_policy",
-    "ActiveProber",
-    "ProbeRequest",
-    "HybridReactivePolicy",
-    "ProbePlan",
-    "blend_call_metrics",
-    "DefaultPolicy",
-    "OraclePolicy",
-    "make_via",
-    "via_config",
-    "make_strawman_prediction",
-    "make_strawman_exploration",
-    "PathSet",
-    "MultipathPolicy",
-    "MultipathBanditPolicy",
-    "RandomPathSetPolicy",
-    "combine_duplicate",
-    "combine_split",
-    "combined_metrics",
-    "ShardedPolicy",
-    "REGISTRY",
-    "ConfigField",
-    "PolicyEntry",
-    "PolicyRegistry",
-    "UnknownPolicyError",
-    "build_policy",
-    "policy_names",
-    "register",
-    "world_inter_relay",
-]
+#: Re-exports, by defining module; each resolves on first use.
+_EXPORTS = {
+    "keys": ("Granularity", "PairKeyer", "PairView"),
+    "history": ("CallHistory", "RunningStat"),
+    "tomography": ("TomographyModel",),
+    "predictor": ("Prediction", "Predictor"),
+    "topk": ("dynamic_top_k", "fixed_top_k"),
+    "bandit": ("UCB1Explorer",),
+    "budget": ("BudgetGate", "RelayLoadTracker"),
+    "caching": ("CachedAssignmentPolicy",),
+    "coordinates": ("CoordinateSystem", "NodeCoordinate", "VivaldiConfig"),
+    "costs": ("CostModel", "MetricCost", "MosCost", "make_cost_model"),
+    "policy": ("SelectionPolicy", "ViaConfig", "ViaPolicy", "make_policy"),
+    "probing": ("ActiveProber", "ProbeRequest"),
+    "hybrid": ("HybridReactivePolicy", "ProbePlan", "blend_call_metrics"),
+    "baselines": (
+        "DefaultPolicy",
+        "OraclePolicy",
+        "make_via",
+        "via_config",
+        "make_strawman_prediction",
+        "make_strawman_exploration",
+    ),
+    "multipath": (
+        "PathSet",
+        "MultipathPolicy",
+        "MultipathBanditPolicy",
+        "RandomPathSetPolicy",
+        "combine_duplicate",
+        "combine_split",
+        "combined_metrics",
+    ),
+    "sharding": ("ShardedPolicy",),
+    "registry": (
+        "REGISTRY",
+        "ConfigField",
+        "PolicyEntry",
+        "PolicyRegistry",
+        "UnknownPolicyError",
+        "build_policy",
+        "policy_names",
+        "register",
+        "world_inter_relay",
+    ),
+}
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

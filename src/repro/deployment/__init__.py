@@ -13,110 +13,58 @@ This package is the working equivalent: a real asyncio TCP controller
 synthetic world.
 """
 
-from repro.deployment.protocol import (
-    LATEST_PROTOCOL,
-    PROTOCOL_V1,
-    PROTOCOL_V2,
-    AssignMessage,
-    ByeMessage,
-    ErrorMessage,
-    HelloAckMessage,
-    HelloMessage,
-    MeasurementMessage,
-    MetricsMessage,
-    MetricsRequestMessage,
-    ProtocolError,
-    RedirectMessage,
-    RequestMessage,
-    ResilienceMessage,
-    ShardMapMessage,
-    ShedMessage,
-    StatsMessage,
-    StatsRequestMessage,
-    SyncMessage,
-    SyncRequestMessage,
-    decode_message,
-    encode_message,
-    decode_option,
-    encode_option,
-)
-from repro.deployment.resilience import CircuitBreaker, ResilienceStats, RetryPolicy
-from repro.deployment.faults import FaultInjector, FaultPlan, RelayOutage
-from repro.deployment.admission import (
-    AdmissionConfig,
-    AdmissionController,
-    AdmissionDecision,
-)
-from repro.deployment.aserver import ViaServer
-from repro.deployment.controller import ViaController
-from repro.deployment.client import (
-    AssignmentResult,
-    AsyncViaClient,
-    RedirectError,
-    ServerError,
-    ShedError,
-    TestbedClient,
-)
-from repro.deployment.ring import (
-    ControllerRing,
-    InProcessRing,
-    ShardController,
-    ShardedViaClient,
-    ShardMap,
-    ring_pair_key,
-)
-from repro.deployment.testbed import TestbedConfig, TestbedReport, run_testbed
+from repro import _lazy_exports
 
-__all__ = [
-    "PROTOCOL_V1",
-    "PROTOCOL_V2",
-    "LATEST_PROTOCOL",
-    "HelloMessage",
-    "HelloAckMessage",
-    "MeasurementMessage",
-    "RequestMessage",
-    "AssignMessage",
-    "StatsRequestMessage",
-    "StatsMessage",
-    "MetricsRequestMessage",
-    "MetricsMessage",
-    "ResilienceMessage",
-    "ErrorMessage",
-    "ShedMessage",
-    "ByeMessage",
-    "RedirectMessage",
-    "ShardMapMessage",
-    "SyncRequestMessage",
-    "SyncMessage",
-    "ProtocolError",
-    "encode_message",
-    "decode_message",
-    "encode_option",
-    "decode_option",
-    "RetryPolicy",
-    "CircuitBreaker",
-    "ResilienceStats",
-    "FaultPlan",
-    "FaultInjector",
-    "RelayOutage",
-    "AdmissionConfig",
-    "AdmissionController",
-    "AdmissionDecision",
-    "ViaServer",
-    "ViaController",
-    "TestbedClient",
-    "AsyncViaClient",
-    "AssignmentResult",
-    "ServerError",
-    "ShedError",
-    "RedirectError",
-    "ShardMap",
-    "ShardController",
-    "ControllerRing",
-    "InProcessRing",
-    "ShardedViaClient",
-    "ring_pair_key",
-    "TestbedConfig",
-    "TestbedReport",
-    "run_testbed",
-]
+#: Re-exports, by defining module; each resolves on first use.
+_EXPORTS = {
+    "protocol": (
+        "PROTOCOL_V1",
+        "PROTOCOL_V2",
+        "LATEST_PROTOCOL",
+        "HelloMessage",
+        "HelloAckMessage",
+        "MeasurementMessage",
+        "RequestMessage",
+        "AssignMessage",
+        "StatsRequestMessage",
+        "StatsMessage",
+        "MetricsRequestMessage",
+        "MetricsMessage",
+        "ResilienceMessage",
+        "ErrorMessage",
+        "ShedMessage",
+        "ByeMessage",
+        "RedirectMessage",
+        "ShardMapMessage",
+        "SyncRequestMessage",
+        "SyncMessage",
+        "ProtocolError",
+        "encode_message",
+        "decode_message",
+        "encode_option",
+        "decode_option",
+    ),
+    "resilience": ("RetryPolicy", "CircuitBreaker", "ResilienceStats"),
+    "faults": ("FaultPlan", "FaultInjector", "RelayOutage"),
+    "admission": ("AdmissionConfig", "AdmissionController", "AdmissionDecision"),
+    "aserver": ("ViaServer",),
+    "controller": ("ViaController",),
+    "client": (
+        "TestbedClient",
+        "AsyncViaClient",
+        "AssignmentResult",
+        "ServerError",
+        "ShedError",
+        "RedirectError",
+    ),
+    "ring": (
+        "ShardMap",
+        "ShardController",
+        "ControllerRing",
+        "InProcessRing",
+        "ShardedViaClient",
+        "ring_pair_key",
+    ),
+    "testbed": ("TestbedConfig", "TestbedReport", "run_testbed"),
+}
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

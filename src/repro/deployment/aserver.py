@@ -234,8 +234,6 @@ class ViaServer:
         except (ConnectionError, OSError):
             pass  # peer vanished mid-exchange; clean up below
         finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
             self._conn_writers.discard(writer)
             self.admission.connection_closed()
             if conn.client_id is not None:
@@ -245,6 +243,11 @@ class ViaServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover - teardown race
                 pass
+            finally:
+                # Untracked last: stop() waits on this task until the
+                # socket is closed, so no teardown outlives the server.
+                if task is not None:
+                    self._conn_tasks.discard(task)
 
     async def _read_line(self, conn: _Connection) -> bytes:
         if self.idle_timeout_s is None:

@@ -8,7 +8,7 @@ consults per message; its RNG is seeded so a chaos experiment replays
 identically.
 
 The plan is shared with the world model: ``relay_outages`` both schedules
-:class:`~repro.netmodel.world.RelayOutage` windows on the ``World`` (so
+:class:`~repro.netmodel.options.RelayOutage` windows on the ``World`` (so
 calls through a dead relay blackhole) and drives the controller's
 down-relay set (so the policy repicks around the outage).
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.netmodel.world import RelayOutage
+from repro.netmodel.options import RelayOutage
 
 __all__ = ["FaultPlan", "FaultInjector", "RelayOutage"]
 

@@ -15,57 +15,31 @@ The central entry point is :class:`repro.netmodel.world.World`, which can
   replay simulator, per the sampling semantics of Section 5.1 of the paper).
 """
 
-from repro.netmodel.geo import GeoPoint, haversine_km, propagation_rtt_ms
-from repro.netmodel.metrics import PathMetrics, Metric, METRICS
-from repro.netmodel.options import RelayOption, OptionKind
-from repro.netmodel.topology import (
-    AutonomousSystem,
-    Country,
-    RelayNode,
-    Topology,
-    TopologyConfig,
-    build_topology,
-)
-from repro.netmodel.dynamics import RegimeProcess, RegimeConfig, diurnal_factor
-from repro.netmodel.graph import backbone_graph, best_multihop_route, overlay_graph
-from repro.netmodel.segments import NoiseConfig, SegmentModel, heavy_tailed_inflation
-from repro.netmodel.world import (
-    OptionFilteredWorld,
-    World,
-    WorldConfig,
-    build_world,
-    restrict_relays,
-    without_transit,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "GeoPoint",
-    "haversine_km",
-    "propagation_rtt_ms",
-    "PathMetrics",
-    "Metric",
-    "METRICS",
-    "RelayOption",
-    "OptionKind",
-    "AutonomousSystem",
-    "Country",
-    "RelayNode",
-    "Topology",
-    "TopologyConfig",
-    "build_topology",
-    "RegimeProcess",
-    "RegimeConfig",
-    "diurnal_factor",
-    "NoiseConfig",
-    "backbone_graph",
-    "overlay_graph",
-    "best_multihop_route",
-    "SegmentModel",
-    "heavy_tailed_inflation",
-    "World",
-    "WorldConfig",
-    "OptionFilteredWorld",
-    "restrict_relays",
-    "without_transit",
-    "build_world",
-]
+#: Re-exports, by defining module; each resolves on first use.
+_EXPORTS = {
+    "geo": ("GeoPoint", "haversine_km", "propagation_rtt_ms"),
+    "metrics": ("PathMetrics", "Metric", "METRICS"),
+    "options": ("RelayOption", "OptionKind"),
+    "topology": (
+        "AutonomousSystem",
+        "Country",
+        "RelayNode",
+        "Topology",
+        "TopologyConfig",
+        "build_topology",
+    ),
+    "dynamics": ("RegimeProcess", "RegimeConfig", "diurnal_factor"),
+    "segments": ("NoiseConfig", "SegmentModel", "heavy_tailed_inflation"),
+    "graph": ("backbone_graph", "overlay_graph", "best_multihop_route"),
+    "world": (
+        "World",
+        "WorldConfig",
+        "OptionFilteredWorld",
+        "restrict_relays",
+        "without_transit",
+        "build_world",
+    ),
+}
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

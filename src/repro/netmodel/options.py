@@ -13,6 +13,10 @@ keys throughout the history store, predictor and bandit.  Each one computes
 its hash once, and its relay-id tuple and reversed twin once on first use,
 so the per-call paths that key dicts by options and normalise call menus
 pay an attribute read for each.
+
+:class:`RelayOutage` is a window in which one relay, and every option
+through it, is down.  It lives here rather than beside the world model
+so the controller's fault plan can name outages without importing it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-__all__ = ["OptionKind", "RelayOption", "DIRECT"]
+__all__ = ["OptionKind", "RelayOption", "DIRECT", "RelayOutage"]
 
 
 class OptionKind(enum.Enum):
@@ -144,3 +148,21 @@ class RelayOption:
 
 #: The singleton default-path option.
 DIRECT = RelayOption(OptionKind.DIRECT)
+
+
+@dataclass(frozen=True, slots=True)
+class RelayOutage:
+    """One relay being down for a half-open time window ``[start, end)``."""
+
+    relay_id: int
+    start_hours: float
+    end_hours: float
+
+    def __post_init__(self) -> None:
+        if self.end_hours <= self.start_hours:
+            raise ValueError(
+                f"outage window must be non-empty: [{self.start_hours}, {self.end_hours})"
+            )
+
+    def active_at(self, t_hours: float) -> bool:
+        return self.start_hours <= t_hours < self.end_hours

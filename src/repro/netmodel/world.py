@@ -36,7 +36,7 @@ from repro.netmodel.dynamics import (
 )
 from repro.netmodel.geo import GeoPoint, propagation_rtt_ms
 from repro.netmodel.metrics import PathMetrics, linear_to_loss, loss_to_linear
-from repro.netmodel.options import DIRECT, OptionKind, RelayOption
+from repro.netmodel.options import DIRECT, OptionKind, RelayOption, RelayOutage
 from repro.netmodel.segments import (
     NoiseConfig,
     SegmentModel,
@@ -164,24 +164,6 @@ class WorldConfig:
             raise ValueError(f"n_days must be >= 1: {self.n_days}")
         if self.n_bounce_near < 1 or self.n_transit_near < 0 or self.n_bounce_mid < 0:
             raise ValueError("candidate counts must be positive")
-
-
-@dataclass(frozen=True, slots=True)
-class RelayOutage:
-    """One relay being down for a half-open time window ``[start, end)``."""
-
-    relay_id: int
-    start_hours: float
-    end_hours: float
-
-    def __post_init__(self) -> None:
-        if self.end_hours <= self.start_hours:
-            raise ValueError(
-                f"outage window must be non-empty: [{self.start_hours}, {self.end_hours})"
-            )
-
-    def active_at(self, t_hours: float) -> bool:
-        return self.start_hours <= t_hours < self.end_hours
 
 
 class World:

@@ -8,47 +8,28 @@ both, plus an RTP-style packet-trace simulator used to validate that
 thresholds on call-average metrics approximate packet-trace MOS (§2.2).
 """
 
-from repro.telephony.call import Call, CallOutcome
-from repro.telephony.codec import CodecSpec, G711, G729, SILK_WB, OPUS_WB, DEFAULT_CODEC
-from repro.telephony.quality import (
-    QualityModel,
-    mos_from_network,
-    mos_from_r_factor,
-    poor_call_probability,
-    r_factor,
-    sample_rating,
-)
-from repro.telephony.rtp import (
-    GilbertElliottLoss,
-    PacketTrace,
-    rfc3550_jitter,
-    simulate_rtp_stream,
-    trace_metrics,
-    trace_mos,
-)
-from repro.telephony.sessions import call_trace_mos, trace_for_call
+from repro import _lazy_exports
 
-__all__ = [
-    "Call",
-    "CallOutcome",
-    "CodecSpec",
-    "G711",
-    "G729",
-    "SILK_WB",
-    "OPUS_WB",
-    "DEFAULT_CODEC",
-    "QualityModel",
-    "r_factor",
-    "mos_from_r_factor",
-    "mos_from_network",
-    "poor_call_probability",
-    "sample_rating",
-    "GilbertElliottLoss",
-    "PacketTrace",
-    "rfc3550_jitter",
-    "simulate_rtp_stream",
-    "trace_metrics",
-    "trace_mos",
-    "trace_for_call",
-    "call_trace_mos",
-]
+#: Re-exports, by defining module; each resolves on first use.
+_EXPORTS = {
+    "call": ("Call", "CallOutcome"),
+    "codec": ("CodecSpec", "G711", "G729", "SILK_WB", "OPUS_WB", "DEFAULT_CODEC"),
+    "quality": (
+        "QualityModel",
+        "r_factor",
+        "mos_from_r_factor",
+        "mos_from_network",
+        "poor_call_probability",
+        "sample_rating",
+    ),
+    "rtp": (
+        "GilbertElliottLoss",
+        "PacketTrace",
+        "rfc3550_jitter",
+        "simulate_rtp_stream",
+        "trace_metrics",
+        "trace_mos",
+    ),
+    "sessions": ("trace_for_call", "call_trace_mos"),
+}
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

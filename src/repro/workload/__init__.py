@@ -6,7 +6,11 @@ a large international (46.6%) and inter-AS (80.7%) share, and a mostly
 wireless (83%) client base.
 """
 
-from repro.workload.generator import WorkloadConfig, generate_trace
-from repro.workload.trace import TraceDataset, TraceSummary
+from repro import _lazy_exports
 
-__all__ = ["WorkloadConfig", "generate_trace", "TraceDataset", "TraceSummary"]
+#: Re-exports, by defining module; each resolves on first use.
+_EXPORTS = {
+    "generator": ("WorkloadConfig", "generate_trace"),
+    "trace": ("TraceDataset", "TraceSummary"),
+}
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -58,6 +58,11 @@ class WorkloadConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be an int >= 1: {value!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be an int >= 0: {seed!r}")
+        if not self.duration_log_sigma >= 0.0:
+            raise ValueError(f"duration_log_sigma must be >= 0: {self.duration_log_sigma!r}")
         if not 0.0 <= self.frac_intra_as <= 1.0:
             raise ValueError("frac_intra_as must be in [0, 1]")
         if not 0.0 <= self.frac_international <= 1.0:

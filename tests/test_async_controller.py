@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import random
 import time
 
@@ -1107,3 +1108,30 @@ class TestServePass:
         monkeypatch.setattr(asyncio.TimerHandle, "cancel", lambda handle: None)
         with pytest.raises(AssertionError):
             self.stop_mid_stall(tmp_path, monkeypatch)
+
+
+class TestShutdown:
+    @pytest.mark.parametrize("n_yields", range(8))
+    def test_stop_outwaits_a_peer_closed_connection(self, n_yields, caplog):
+        """``stop()`` returns only after every connection task is done,
+        including one whose peer closed just before: a task left at
+        ``wait_closed`` would be cancelled by ``asyncio.run`` and logged
+        as an ERROR from the stream protocol's callback."""
+
+        async def scenario():
+            controller = ViaController()
+            await controller.start()
+            reader, writer = await raw_connect(controller.port)
+            writer.write(hello_v2())
+            assert (await read_json(reader))["type"] == "hello_ack"
+            writer.close()
+            for _ in range(n_yields):
+                await asyncio.sleep(0)
+            await controller.stop()
+            current = asyncio.current_task()
+            return [t for t in asyncio.all_tasks() if t is not current and not t.done()]
+
+        with caplog.at_level(logging.ERROR):
+            pending = run(scenario())
+        assert pending == []
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []

@@ -26,9 +26,20 @@ class TestWorkloadConfig:
         with pytest.raises(ValueError, match=field):
             WorkloadConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("seed", True), ("seed", 2.5), ("seed", -1), ("duration_log_sigma", -1.0),
+         ("duration_log_sigma", float("nan"))],
+    )
+    def test_rejects_a_seed_or_sigma_numpy_would_refuse_later(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            WorkloadConfig(**{field: value})
+
     def test_accepts_numpy_ints(self):
-        config = WorkloadConfig(n_calls=np.int64(50), n_pairs=np.int32(10), users_per_as=np.uint16(7))
-        assert (config.n_calls, config.n_pairs, config.users_per_as) == (50, 10, 7)
+        config = WorkloadConfig(
+            n_calls=np.int64(50), n_pairs=np.int32(10), users_per_as=np.uint16(7), seed=np.int64(0)
+        )
+        assert (config.n_calls, config.n_pairs, config.users_per_as, config.seed) == (50, 10, 7, 0)
 
     def test_rejects_fraction_overflow(self):
         with pytest.raises(ValueError):
