@@ -108,7 +108,7 @@ examples:
 	$(PYTHON) examples/international_calling.py
 	$(PYTHON) examples/budgeted_relaying.py
 	$(PYTHON) examples/live_controller.py
-	$(PYTHON) examples/hybrid_and_probing.py
+	$(PYTHON) examples/hybrid_reactive.py
 	$(PYTHON) examples/mos_optimization.py
 
 all: install test bench

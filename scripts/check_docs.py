@@ -17,6 +17,10 @@ the docs cannot silently rot as the code moves:
   function that exists in that file;
 * make targets — a backticked ``make <target>`` must name a rule (or
   ``.PHONY`` entry) defined in the repo Makefile;
+* script paths — every ``examples/``, ``benchmarks/``, ``scripts/``,
+  ``perf/`` or ``tests/`` ``*.py`` path on a ``python``/``pytest``
+  command line inside a fenced code block, and on a Makefile recipe
+  line, must exist;
 * metric series — every ``via_*`` series a ``counter``/``gauge``/
   ``histogram`` call under ``src/`` registers by string literal must
   appear in one of the catalogue pages (:data:`SERIES_DOCS`), and every
@@ -80,6 +84,14 @@ NODE_RE = re.compile(r"^([\w./-]+\.py)::(\w+)$")
 LINK_RE = re.compile(r"\]\(([^)#\s]+)(?:#[\w-]*)?\)")
 #: ``make <target>`` invocations inside backticks.
 MAKE_RE = re.compile(r"^make\s+([A-Za-z][\w-]*)")
+#: A fenced code block's opening or closing line.
+FENCE_RE = re.compile(r"^\s*(```|~~~)")
+#: A command line that runs Python.
+PYTHON_CMD_RE = re.compile(r"\b(?:python3?|pytest)\b")
+#: A script path under one of the repo's runnable trees.
+SCRIPT_PATH_RE = re.compile(
+    r"(?<![\w./-])((?:examples|benchmarks|scripts|perf|tests)/[\w./-]*\.py)\b"
+)
 #: A metric series name.
 SERIES_RE = re.compile(r"\bvia_[a-z0-9_]+\b")
 #: The series a catalogue table row documents: first cell, backticked.
@@ -140,13 +152,35 @@ def _path_exists(token: str, doc_dir: Path) -> bool:
     return any(c.exists() for c in candidates)
 
 
+def check_makefile() -> list[str]:
+    """Every script path a Makefile recipe runs must exist."""
+    lines = (REPO_ROOT / "Makefile").read_text(encoding="utf-8").splitlines()
+    return [
+        f"Makefile:{lineno}: recipe runs missing script `{script}`"
+        for lineno, line in enumerate(lines, 1)
+        if line.startswith("\t")
+        for script in SCRIPT_PATH_RE.findall(line)
+        if not (REPO_ROOT / script).exists()
+    ]
+
+
 def check_file(
     path: Path, classes: dict[str, list[type]], make_targets: set[str], env_vars: set[str]
 ) -> list[str]:
     problems: list[str] = []
     doc_dir = path.parent
     rel = path.relative_to(REPO_ROOT)
+    fenced = False
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if FENCE_RE.match(line):
+            fenced = not fenced
+            continue
+        if fenced and PYTHON_CMD_RE.search(line):
+            problems.extend(
+                f"{rel}:{lineno}: command runs missing script `{script}`"
+                for script in SCRIPT_PATH_RE.findall(line)
+                if not _path_exists(script, doc_dir)
+            )
         for match in DOTTED_RE.finditer(line):
             dotted = match.group(0).split("(")[0]
             if not _resolves(dotted):
@@ -285,6 +319,7 @@ def main() -> int:
         n_checked += 1
         problems.extend(check_file(path, classes, make_targets, env_vars))
     problems.extend(check_series())
+    problems.extend(check_makefile())
     if problems:
         print(f"docs-check: {len(problems)} dangling reference(s):")
         for problem in problems:

@@ -29,10 +29,8 @@ _EXPORTS = {
     "bandit": ("UCB1Explorer",),
     "budget": ("BudgetGate", "RelayLoadTracker"),
     "caching": ("CachedAssignmentPolicy",),
-    "coordinates": ("CoordinateSystem", "NodeCoordinate", "VivaldiConfig"),
     "costs": ("CostModel", "MetricCost", "MosCost", "make_cost_model"),
     "policy": ("SelectionPolicy", "ViaConfig", "ViaPolicy", "make_policy"),
-    "probing": ("ActiveProber", "ProbeRequest"),
     "hybrid": ("HybridReactivePolicy", "ProbePlan", "blend_call_metrics"),
     "baselines": (
         "DefaultPolicy",

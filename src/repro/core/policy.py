@@ -17,6 +17,8 @@ shares this one code path and differs only where the paper says it does.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Hashable, Protocol
@@ -25,7 +27,6 @@ import numpy as np
 
 from repro.core.bandit import UCB1Explorer
 from repro.core.budget import BudgetGate, RelayLoadTracker
-from repro.core.coordinates import CoordinateSystem
 from repro.core.costs import COST_MODEL_NAMES, CostModel, make_cost_model
 from repro.core.history import (
     CallHistory,
@@ -33,7 +34,7 @@ from repro.core.history import (
     history_from_dict,
     history_to_dict,
 )
-from repro.core.keys import Granularity, PairKeyer, PairView
+from repro.core.keys import GRANULARITIES, Granularity, PairKeyer, PairView
 from repro.core.predictor import Prediction, Predictor
 from repro.core.tomography import InterRelayLookup, TomographyModel
 from repro.core.topk import dynamic_top_k_cost, fixed_top_k_cost
@@ -104,9 +105,6 @@ class ViaConfig:
     greedy_epsilon: float = 0.1
     min_direct_samples: int = 3
     use_tomography: bool = True
-    #: Extension: learn a Vivaldi embedding from direct-path RTTs and use
-    #: it to predict the direct path of never-seen pairs.
-    use_coordinates: bool = False
     budget: float = 1.0
     budget_aware: bool = True
     #: Per-relay load cap (§4.6's per-relay budget variant): no single
@@ -130,12 +128,29 @@ class ViaConfig:
             raise ValueError("epsilon must be in [0, 1]")
         if not 0.0 <= self.greedy_epsilon <= 1.0:
             raise ValueError("greedy_epsilon must be in [0, 1]")
-        if self.refresh_hours <= 0.0:
-            raise ValueError("refresh_hours must be > 0")
+        if self.ucb_mode not in ("via", "classic"):
+            raise ValueError(f"unknown ucb_mode: {self.ucb_mode!r}")
+        if self.granularity not in GRANULARITIES:
+            raise ValueError(
+                f"unknown granularity {self.granularity!r}; expected one of {GRANULARITIES}"
+            )
+        if not 0.0 < self.refresh_hours < math.inf:
+            raise ValueError(f"refresh_hours must be finite and > 0: {self.refresh_hours!r}")
+        if not 0.0 <= self.exploration_coef < math.inf:
+            raise ValueError(
+                f"exploration_coef must be finite and >= 0: {self.exploration_coef!r}"
+            )
         if not 0.0 <= self.budget <= 1.0:
             raise ValueError("budget must be in [0, 1]")
-        if self.fixed_k < 1:
-            raise ValueError("fixed_k must be >= 1")
+        # per_relay_window takes RelayLoadTracker's floor even with caps off,
+        # so a config that turns caps on later cannot fail then.
+        minimums = {"fixed_k": 1, "min_direct_samples": 1, "per_relay_window": 10, "seed": 0}
+        if self.max_k is not None:
+            minimums["max_k"] = 1
+        for name, least in minimums.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an int >= {least}: {value!r}")
 
     def with_metric(self, metric: str) -> "ViaConfig":
         """A copy optimising a different metric (runs are per-metric, §5)."""
@@ -189,9 +204,6 @@ class ViaPolicy:
         self._budget_gate: BudgetGate | None = None
         if self.config.budget < 1.0:
             self._budget_gate = BudgetGate(self.config.budget, aware=self.config.budget_aware)
-        self._coordinates: CoordinateSystem | None = None
-        if self.config.use_coordinates:
-            self._coordinates = CoordinateSystem()
         self._load_tracker: RelayLoadTracker | None = None
         if self.config.per_relay_cap is not None:
             self._load_tracker = RelayLoadTracker(
@@ -306,10 +318,6 @@ class ViaPolicy:
         view = self._keyer.view(call)
         norm = view.normalize(option)
         self.history.add(view.pair_key, norm, call.t_hours, metrics)
-        if self._coordinates is not None and not option.is_relayed:
-            side_s, side_d = view.pair_key
-            if side_s != side_d:
-                self._coordinates.observe(side_s, side_d, metrics.rtt_ms)
         state = self._pair_state.get((view.pair_key, call.direct_blocked))
         if state is None:
             return
@@ -355,8 +363,8 @@ class ViaPolicy:
         prebuilt :class:`~repro.core.vector.MetricsBatch`.  Observes carry
         no RNG, so ordering only matters within one (pair, option) cell --
         which the grouped fold preserves exactly.  Configurations the
-        vector path does not cover (greedy selector, coordinates, non-AS
-        granularity) take the scalar loop.
+        vector path does not cover (greedy selector, non-AS granularity)
+        take the scalar loop.
         """
         if not obs_runtime.enabled:
             return self._observe_many(calls, options, metrics_list)
@@ -386,11 +394,7 @@ class ViaPolicy:
         )
 
     def _vector_observe_eligible(self) -> bool:
-        return (
-            self.config.granularity == "as"
-            and self.config.selector != "greedy"
-            and self._coordinates is None
-        )
+        return self.config.granularity == "as" and self.config.selector != "greedy"
 
     def _assign_many(self, calls, options_per_call) -> list[RelayOption]:
         batch = as_call_batch(calls)
@@ -694,7 +698,6 @@ class ViaPolicy:
             self.history,
             window,
             tomography=tomography,
-            coordinates=self._coordinates,
             min_direct_samples=self.config.min_direct_samples,
         )
         # Only the window feeding the current predictor is ever read again.

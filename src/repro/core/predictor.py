@@ -9,10 +9,7 @@ in order of preference:
    window and has enough samples;
 2. **tomography** -- the path-stitched estimate (relayed options only),
    with SEM inflated to reflect the indirection;
-3. **coordinates** (optional extension) -- for the *direct* path of a
-   never-seen pair, a Vivaldi embedding supplies the RTT while loss and
-   jitter fall back to the window's population means, all with wide
-   uncertainty;
+3. **thin history** -- one or two same-pair samples, with SEM widened;
 4. otherwise ``None`` -- the option is unpredictable this window (it can
    still be reached by the ε general-exploration arm of Algorithm 1).
 """
@@ -27,12 +24,16 @@ import numpy as np
 from repro.core.history import CallHistory, RunningStat
 from repro.core.tomography import TomographyModel
 from repro.netmodel.metrics import METRICS
-from repro.netmodel.options import DIRECT, RelayOption
-from repro.core.coordinates import CoordinateSystem
+from repro.netmodel.options import RelayOption
 
 __all__ = ["Prediction", "Predictor"]
 
 _Z95 = 1.96
+#: Relative SEM floor: keeps tiny samples from producing overconfident
+#: (near-zero) confidence intervals.
+_SEM_REL_FLOOR = 0.05
+#: Tomography predictions are indirect, so their SEM is widened by this.
+_TOMOGRAPHY_SEM_INFLATION = 1.5
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,13 +71,12 @@ def metric_index(metric: str) -> int:
 
 
 class Predictor:
-    """Window-scoped prediction from history, tomography and coordinates.
+    """Window-scoped prediction from history and tomography.
 
     Built once per refresh period over the *previous* window's data (the
     paper refreshes stages 2-3 every T = 24 h).  ``min_direct_samples``
     gates how many same-pair samples are needed before history is trusted
-    over tomography; ``sem_rel_floor`` keeps tiny samples from producing
-    overconfident (near-zero) confidence intervals.
+    over tomography.
     """
 
     def __init__(
@@ -85,24 +85,15 @@ class Predictor:
         window: int,
         *,
         tomography: TomographyModel | None = None,
-        coordinates: "CoordinateSystem | None" = None,
         min_direct_samples: int = 3,
-        sem_rel_floor: float = 0.05,
-        tomography_sem_inflation: float = 1.5,
-        coordinate_rel_sem: float = 0.30,
     ) -> None:
         if min_direct_samples < 1:
             raise ValueError("min_direct_samples must be >= 1")
         self._history = history
         self._window = window
         self._tomography = tomography
-        self._coordinates = coordinates
         self._min_direct = min_direct_samples
-        self._sem_rel_floor = sem_rel_floor
-        self._tomo_inflation = tomography_sem_inflation
-        self._coord_rel_sem = coordinate_rel_sem
         self._cache: dict[tuple[Hashable, RelayOption], Prediction | None] = {}
-        self._direct_prior: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def window(self) -> int:
@@ -130,53 +121,13 @@ class Predictor:
             stitched = self._tomography.predict(side_s, side_d, option)
             if stitched is not None:
                 mean, sem = stitched
-                sem = self._floor_sem(mean, sem * self._tomo_inflation)
+                sem = self._floor_sem(mean, sem * _TOMOGRAPHY_SEM_INFLATION)
                 return Prediction(mean=mean, sem=sem, n=0, source="tomography")
         # Thin direct history is still better than nothing when tomography
         # cannot reach the option (e.g. the direct path).
         if stat is not None and stat.count >= 1:
             return self._from_history(stat, thin=True)
-        if self._coordinates is not None and option == DIRECT:
-            return self._from_coordinates(pair_key)
         return None
-
-    def _from_coordinates(
-        self, pair_key: tuple[Hashable, Hashable]
-    ) -> Prediction | None:
-        """Direct-path fallback from the Vivaldi embedding (extension).
-
-        The embedding supplies RTT; loss and jitter come from the window's
-        direct-path population means.  Everything carries wide uncertainty
-        so the bandit treats the option as worth verifying, not trusting.
-        """
-        assert self._coordinates is not None
-        side_s, side_d = pair_key
-        rtt = self._coordinates.estimate_rtt(side_s, side_d)
-        if rtt is None:
-            return None
-        prior = self._direct_population_prior()
-        if prior is None:
-            return None
-        prior_mean, prior_sem = prior
-        mean = np.array([rtt, prior_mean[1], prior_mean[2]])
-        confidence = self._coordinates.estimation_confidence(side_s, side_d) or 1.0
-        rtt_sem = max(self._coord_rel_sem, confidence) * rtt
-        sem = np.array([rtt_sem, prior_sem[1], prior_sem[2]])
-        return Prediction(mean=mean, sem=self._floor_sem(mean, sem), n=0, source="coordinates")
-
-    def _direct_population_prior(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Window-wide mean/spread of direct-path metrics (weak prior)."""
-        if self._direct_prior is None:
-            totals = RunningStat()
-            for (_pair, option), stat in self._history.window_items(self._window):
-                if option == DIRECT and stat.count > 0:
-                    totals.push(stat.mean_metrics())
-            if totals.count < 5:
-                return None
-            mean = totals.mean
-            spread = np.sqrt(totals.variance())
-            self._direct_prior = (mean, np.maximum(spread, 0.5 * np.abs(mean)))
-        return self._direct_prior
 
     def _from_history(self, stat: RunningStat, thin: bool = False) -> Prediction:
         mean = stat.mean
@@ -190,7 +141,7 @@ class Predictor:
         )
 
     def _floor_sem(self, mean: np.ndarray, sem: np.ndarray) -> np.ndarray:
-        return np.maximum(sem, self._sem_rel_floor * np.abs(mean) + 1e-9)
+        return np.maximum(sem, _SEM_REL_FLOOR * np.abs(mean) + 1e-9)
 
     def predict_all(
         self,

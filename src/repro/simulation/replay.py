@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from typing import TYPE_CHECKING
-
 from repro.core.hybrid import blend_call_metrics
 from repro.core.multipath import combined_metrics
 from repro.core.policy import SelectionPolicy
@@ -46,9 +44,6 @@ _C_CALLS = REGISTRY.counter(
     ("policy",),
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
-    from repro.core.probing import ActiveProber
-
 __all__ = ["ReplayResult", "replay"]
 
 logger = logging.getLogger(__name__)
@@ -64,8 +59,6 @@ class ReplayResult:
 
     policy_name: str
     outcomes: list[CallOutcome] = field(default_factory=list)
-    #: Active mock-call probes issued during the replay (§7 extension).
-    n_probes: int = 0
     #: Per-outcome flag: was any relay outage active when the call ran?
     #: Empty when the world had no scheduled outages.
     outage_flags: list[bool] = field(default_factory=list)
@@ -142,15 +135,12 @@ def replay(
     *,
     seed: int = 0,
     quality: QualityModel | None = None,
-    prober: "ActiveProber | None" = None,
     batch_calls: int = 1,
 ) -> ReplayResult:
     """Replay ``trace`` through ``policy`` on ``world``.
 
     ``quality`` optionally samples user ratings for a fraction of calls
     (used by the PCR analyses); pass ``QualityModel(rating_fraction=...)``.
-    ``prober`` optionally executes active mock-call measurements between
-    real calls (the §7 extension; see :mod:`repro.core.probing`).
 
     The trace is walked in chunks of up to ``batch_calls`` calls, trimmed
     at relay-outage boundaries.  A chunk of several calls goes through the
@@ -162,8 +152,8 @@ def replay(
     ``observe``, ``assign_paths``/``observe_paths`` for a multipath policy,
     or the ``plan_probe``/``commit_probe`` exchange for a hybrid one -- so
     ``batch_calls=1`` is the serial §5.1 replay.  Multipath and probing
-    policies, replays using a prober, and policies without a batch
-    interface run in chunks of one whatever ``batch_calls`` says.
+    policies, and policies without a batch interface, run in chunks of
+    one whatever ``batch_calls`` says.
 
     The outcome RNG is derived from ``seed`` only, so two policies replayed
     with the same seed face identical noise *processes* (though different
@@ -177,7 +167,7 @@ def replay(
     assign_paths = getattr(policy, "assign_paths", None)
     plan_probe = getattr(policy, "plan_probe", None)
     if batch_calls > 1:
-        if assign_paths is not None or plan_probe is not None or prober is not None:
+        if assign_paths is not None or plan_probe is not None:
             batch_calls = 1
         elif not (hasattr(policy, "assign_many") and hasattr(policy, "observe_many")):
             # The caller asked for the batch hot path but this policy cannot
@@ -199,7 +189,6 @@ def replay(
     down: frozenset[int] = frozenset()
     obs_calls = _C_CALLS.labels(policy=policy.name)
     last_day = -1
-    probe_call_id = -1
 
     def book(call, paths, metrics) -> None:
         """Record one call that rode ``paths`` (one option, or a multipath
@@ -263,7 +252,6 @@ def replay(
             # ``assign_many`` of one, which costs several times as much.
             options = _menu(world, call)
             plan = plan_probe(call, options) if plan_probe is not None else None
-            probes = ()
             if assign_paths is not None:
                 paths, metrics = _multipath_call(world, policy, call, options, rng)
             elif plan is not None:
@@ -273,24 +261,11 @@ def replay(
                 metrics = _sample(world, call, option, rng)
                 policy.observe(call, option, metrics)
                 paths = (option,)
-                if prober is not None:
-                    probes = prober.probes_after(call)
             book(call, paths, metrics)
-            for request in probes:
-                # Mock calls are drawn after their real call is rated.
-                src, dst, probe_option = request
-                mock = prober.make_probe_call(request, call.t_hours, probe_call_id)
-                probe_call_id -= 1
-                policy.observe(
-                    mock,
-                    probe_option,
-                    world.sample_call(src, dst, probe_option, call.t_hours, rng),
-                )
         i = j
     if obs_runtime.enabled:
         _G_CALLS.set(n)
         _G_FRACTION.set(1.0)
-    result.n_probes = prober.n_probes_issued if prober is not None else 0
     return result
 
 

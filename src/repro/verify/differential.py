@@ -82,7 +82,7 @@ class OracleViaPolicy:
     Supports the paper's core configuration space: every ``topk_mode``,
     both selectors, both UCB normalisation modes, epsilon general
     exploration, and optional tomography.  The operational extensions
-    (budget gate, per-relay caps, coordinates) are out of oracle scope
+    (budget gate, per-relay caps) are out of oracle scope
     and rejected up front -- they are exercised by their own suites.
     """
 
@@ -93,8 +93,6 @@ class OracleViaPolicy:
             raise ValueError("oracle scope excludes the budget gate")
         if config.per_relay_cap is not None:
             raise ValueError("oracle scope excludes per-relay load caps")
-        if config.use_coordinates:
-            raise ValueError("oracle scope excludes the coordinate extension")
         self.config = config
         self.name = f"oracle-via[{config.metric}]"
         self._cost: CostModel = make_cost_model(config.metric)

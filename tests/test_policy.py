@@ -58,6 +58,30 @@ class TestViaConfig:
         with pytest.raises(ValueError):
             ViaConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ucb_mode", "x"),
+            ("max_k", 0),
+            ("max_k", True),
+            ("exploration_coef", -1.0),
+            ("exploration_coef", float("nan")),
+            ("refresh_hours", float("nan")),
+            ("refresh_hours", float("inf")),
+            ("granularity", "x"),
+            ("min_direct_samples", 0),
+            ("seed", True),
+            ("seed", -1),
+            ("fixed_k", True),
+            ("per_relay_window", 0),
+        ],
+    )
+    def test_rejects_values_that_would_fail_while_serving(self, field, value):
+        """Each of these used to pass construction and fail (or mean
+        something else) only once a controller was answering calls."""
+        with pytest.raises(ValueError, match=field):
+            ViaConfig(**{field: value})
+
     def test_with_metric(self):
         config = ViaConfig(metric="rtt_ms", epsilon=0.2)
         other = config.with_metric("loss_rate")

@@ -76,7 +76,7 @@ class TestPredictor:
     def test_sem_floor_applied(self):
         # Identical samples give zero SEM; the floor keeps CIs open.
         history = history_with(DIRECT, [100.0] * 10)
-        predictor = Predictor(history, 0, sem_rel_floor=0.05)
+        predictor = Predictor(history, 0)
         prediction = predictor.predict(PAIR, DIRECT)
         assert prediction is not None
         assert prediction.sem[0] >= 5.0

@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.baselines import DefaultPolicy, OraclePolicy, make_via
 from repro.core.hybrid import ProbePlan
-from repro.core.probing import ActiveProber
 from repro.core.registry import build_policy
 from repro.netmodel import TopologyConfig, WorldConfig, build_world
 from repro.netmodel.options import DIRECT
@@ -249,84 +248,75 @@ def _replay_digest(result) -> tuple:
         result.n_dead_assignments,
         result.n_degraded_assignments,
         sum(result.outage_flags),
-        result.n_probes,
     )
 
 
-#: id -> (policy name, overrides, batch_calls, rated + outages?, prober?,
-#: digest).  The digests were captured from the separate serial, batched
-#: and multipath loops that replay()'s one loop replaced; any change to
-#: the loop must still replay them bit for bit.
+#: id -> (policy name, overrides, batch_calls, rated + outages?, digest).
+#: The digests were captured from the separate serial, batched and
+#: multipath loops that replay()'s one loop replaced; any change to the
+#: loop must still replay them bit for bit.
 _PINNED = {
     "via-b1": (
-        "via", {}, 1, False, False,
-        ("30c61f352623e372", 1500, 0, 0, 0, 0),
+        "via", {}, 1, False,
+        ("30c61f352623e372", 1500, 0, 0, 0),
     ),
     "via-b64": (
-        "via", {}, 64, False, False,
-        ("dea90412f96ec301", 1500, 0, 0, 0, 0),
+        "via", {}, 64, False,
+        ("dea90412f96ec301", 1500, 0, 0, 0),
     ),
     "via-b2000": (
-        "via", {}, 2000, False, False,
-        ("c8bf2b657c67fec5", 1500, 0, 0, 0, 0),
+        "via", {}, 2000, False,
+        ("c8bf2b657c67fec5", 1500, 0, 0, 0),
     ),
     "via-b1-rated-outages": (
-        "via", {}, 1, True, False,
-        ("ede8d7ca3c0ee572", 1500, 0, 0, 788, 0),
+        "via", {}, 1, True,
+        ("ede8d7ca3c0ee572", 1500, 0, 0, 788),
     ),
     "via-b64-rated-outages": (
-        "via", {}, 64, True, False,
-        ("28f1d9f742f856a4", 1500, 0, 0, 788, 0),
+        "via", {}, 64, True,
+        ("28f1d9f742f856a4", 1500, 0, 0, 788),
     ),
     "via-b2000-rated-outages": (
-        "via", {}, 2000, True, False,
-        ("3417dc5b079864fd", 1500, 0, 0, 788, 0),
+        "via", {}, 2000, True,
+        ("3417dc5b079864fd", 1500, 0, 0, 788),
     ),
     # Re-pinned when the load-cap diversion learned to skip down relays:
     # its 35 dead assignments went to 0.
     "via-gated": (
-        "via", {"budget": 0.3, "per_relay_cap": 0.15}, 1, True, False,
-        ("ab7a768e2d01018b", 1500, 0, 0, 788, 0),
+        "via", {"budget": 0.3, "per_relay_cap": 0.15}, 1, True,
+        ("ab7a768e2d01018b", 1500, 0, 0, 788),
     ),
     "default-b64": (
-        "default", {}, 64, True, False,
-        ("5349598d8bb3df26", 1500, 0, 0, 788, 0),
+        "default", {}, 64, True,
+        ("5349598d8bb3df26", 1500, 0, 0, 788),
     ),
     "oracle": (
-        "oracle", {}, 1, True, False,
-        ("c551501d1db611e0", 1500, 56, 0, 788, 0),
+        "oracle", {}, 1, True,
+        ("c551501d1db611e0", 1500, 56, 0, 788),
     ),
     "cached-via-b16": (
-        "cached-via", {}, 16, True, False,
-        ("237ac37ca6c76976", 1500, 147, 0, 788, 0),
+        "cached-via", {}, 16, True,
+        ("237ac37ca6c76976", 1500, 147, 0, 788),
     ),
     "sharded-via-b128": (
-        "sharded-via", {}, 128, True, False,
-        ("1b9c6f6669f7fa74", 1500, 0, 0, 788, 0),
+        "sharded-via", {}, 128, True,
+        ("1b9c6f6669f7fa74", 1500, 0, 0, 788),
     ),
     "multipath-ucb-b1": (
-        "multipath-ucb", {}, 1, True, False,
-        ("b579ace6e40f492e", 1500, 0, 5, 788, 0),
+        "multipath-ucb", {}, 1, True,
+        ("b579ace6e40f492e", 1500, 0, 5, 788),
     ),
     "multipath-ucb-b64": (
-        "multipath-ucb", {}, 64, True, False,
-        ("b579ace6e40f492e", 1500, 0, 5, 788, 0),
+        "multipath-ucb", {}, 64, True,
+        ("b579ace6e40f492e", 1500, 0, 5, 788),
     ),
     "hybrid-reactive-b1": (
-        "hybrid-reactive", {}, 1, True, False,
-        ("4b5406dad406d615", 1500, 3, 0, 788, 0),
+        "hybrid-reactive", {}, 1, True,
+        ("4b5406dad406d615", 1500, 3, 0, 788),
     ),
     "hybrid-reactive-b64": (
-        "hybrid-reactive", {}, 64, True, False,
-        ("4b5406dad406d615", 1500, 3, 0, 788, 0),
-    ),
-    "via-prober-b1": (
-        "via", {}, 1, True, True,
-        ("87b243e28a97217c", 1500, 0, 0, 788, 34),
-    ),
-    "via-prober-b64": (
-        "via", {}, 64, True, True,
-        ("87b243e28a97217c", 1500, 0, 0, 788, 34),
+        "hybrid-reactive", {}, 64, True,
+        ("4b5406dad406d615", 1500, 3, 0, 788),
     ),
 }
 
@@ -335,7 +325,7 @@ _PINNED = {
 def test_replay_digest_is_pinned(pin_worlds, pin_trace, config_id):
     """Outcome digest (call id, option, metric reprs, rating) and every
     ``ReplayResult`` counter, per configuration, against constants."""
-    name, overrides, batch_calls, rated_outages, with_prober, pinned = _PINNED[config_id]
+    name, overrides, batch_calls, rated_outages, pinned = _PINNED[config_id]
     world = pin_worlds[rated_outages]
     policy = build_policy(name, world, seed=5, **overrides)
     result = replay(
@@ -344,7 +334,6 @@ def test_replay_digest_is_pinned(pin_worlds, pin_trace, config_id):
         policy,
         seed=9,
         quality=QualityModel(rating_fraction=0.3) if rated_outages else None,
-        prober=ActiveProber(policy, probe_fraction=0.2) if with_prober else None,
         batch_calls=batch_calls,
     )
     assert _replay_digest(result) == pinned

@@ -278,8 +278,6 @@ class TestDifferentialHarness:
             OracleViaPolicy(ViaConfig(budget=0.5))
         with pytest.raises(ValueError):
             OracleViaPolicy(ViaConfig(per_relay_cap=0.3))
-        with pytest.raises(ValueError):
-            OracleViaPolicy(ViaConfig(use_coordinates=True))
 
     def test_random_config_stays_in_oracle_scope(self, rng):
         for _ in range(30):
