@@ -35,11 +35,12 @@ Runs, in order, failing fast:
    the resource-trend watchdogs armed.  The hours-long run is
    ``repro soak --budget full``; this leg proves the harness itself and
    catches gross leaks in under a minute;
-7. the repo benchmark at smoke scale (``make perf-smoke``), after six
+7. the repo benchmark at smoke scale (``make perf-smoke``), after seven
    same-process ratio checks (the wire codec's shape; ``World.sample_call``
    under half its reference composition, streams equal; ``generate_trace``
    under :data:`TRACE_RATIO_LIMIT` of its scalar-draw reference, traces
-   equal; a WAL append of
+   equal; ``Call``, ``CallOutcome`` and ``PathMetrics`` each under
+   :data:`RECORD_RATIO_LIMITS` of a frozen-dataclass twin; a WAL append of
    a validated wire line under half ``Store.log_request`` of the same
    values; ``assign_many``/``observe_many`` under
    :data:`VECTOR_RATIO_LIMIT` of the scalar loop on the same chunks,
@@ -95,6 +96,11 @@ IMPORT_BANS = {
     "from repro.deployment import *": ("scipy", "networkx"),
     "import repro.simulation": ("scipy",),
     "import repro.cli": ("scipy",),
+    # `repro store verify` end to end, on the pinned store fixture: a store
+    # check reads WAL frames and a snapshot, never the replay planes.
+    "from repro.cli import main; main(['store', 'verify', 'tests/fixtures/store-seed7'])": (
+        "scipy", "repro.simulation", "repro.analysis", "repro.workload", "repro.netmodel.world",
+    ),
 }
 
 #: The controller child of the repo benchmark: what its imports may not
@@ -147,8 +153,10 @@ def _import_leg(env: dict[str, str]) -> bool:
     """Run each import in :data:`IMPORT_BANS`, and the controller child's,
     in a fresh interpreter; fail if any loads a module banned for it."""
     print("== imports: entry points load no banned module", flush=True)
+    # What the code prints is swallowed: stdout carries the module list.
     probe = (
-        "import json, sys; sys.path.insert(0, 'perf'); exec(sys.argv[1]); "
+        "import contextlib, io, json, sys; sys.path.insert(0, 'perf')\n"
+        "with contextlib.redirect_stdout(io.StringIO()): exec(sys.argv[1])\n"
         "print(json.dumps(sorted(sys.modules)))"
     )
     legs = [(code, code, banned) for code, banned in IMPORT_BANS.items()]
@@ -652,8 +660,6 @@ def _trace_ratio() -> bool:
     field and type for type, under :data:`TRACE_RATIO_LIMIT` of the time,
     on ``perf/``'s probe config -- in the form of :func:`_sampler_ratio`."""
     print("== perf: generate_trace vs the scalar-draw reference", flush=True)
-    from dataclasses import astuple
-
     from repro.netmodel import TopologyConfig, build_topology
     from repro.workload import WorkloadConfig, generate_trace
     from tests.trace_reference import reference_generate_trace
@@ -662,7 +668,7 @@ def _trace_ratio() -> bool:
     config = WorkloadConfig(n_calls=20_000, n_pairs=600)
 
     def typed(trace):
-        return [tuple((type(v), v) for v in astuple(call)) for call in trace.calls]
+        return [tuple((type(v), v) for v in call) for call in trace.calls]
 
     if typed(generate_trace(topology, config, n_days=10)) != typed(
         reference_generate_trace(topology, config, n_days=10)
@@ -688,6 +694,126 @@ def _trace_ratio() -> bool:
               "scalar-draw definition or more: are the draws read from raw words?)")
         return False
     return True
+
+
+#: ``_record_ratio``'s limits, per class: the time to build a record over
+#: the time to build its frozen slots-dataclass twin (the form these records
+#: had before they were tuples, ``docs/performance.md``, *Per-call records*),
+#: which reads ~1.0x by construction.  ``Call`` reads ~0.2x: its twin makes
+#: fourteen ``object.__setattr__`` calls.  A three- or four-field record reads
+#: ~0.4-0.6x, because the one Python-level ``__new__`` both forms pay is most
+#: of what is left.
+RECORD_RATIO_LIMITS = {"Call": 0.5, "CallOutcome": 0.8, "PathMetrics": 0.8}
+
+
+def _record_ratio() -> bool:
+    """Building the per-call records against building the same values as
+    frozen slots dataclasses with the same fields, defaults and checks,
+    defined here -- in the form of :func:`_codec_ratios`.  A record put back
+    on ``@dataclass(frozen=True)`` reads ~1.0x and fails."""
+    print("== perf: per-call records vs frozen-dataclass twins", flush=True)
+    import inspect
+    from dataclasses import MISSING, dataclass, fields
+
+    from repro.netmodel.metrics import PathMetrics
+    from repro.netmodel.options import RelayOption
+    from repro.telephony.call import Call, CallOutcome
+
+    @dataclass(frozen=True, slots=True)
+    class FrozenCall:
+        call_id: int
+        t_hours: float
+        src_asn: int
+        dst_asn: int
+        src_country: str
+        dst_country: str
+        src_user: int
+        dst_user: int
+        duration_s: float = 180.0
+        src_prefix: int = 0
+        dst_prefix: int = 0
+        src_wireless: bool = False
+        dst_wireless: bool = False
+        direct_blocked: bool = False
+
+        def __post_init__(self) -> None:
+            if self.t_hours < 0.0:
+                raise ValueError(f"t_hours must be >= 0: {self.t_hours}")
+            if self.duration_s <= 0.0:
+                raise ValueError(f"duration_s must be > 0: {self.duration_s}")
+
+    @dataclass(frozen=True, slots=True)
+    class FrozenCallOutcome:
+        call: object
+        option: object
+        metrics: object
+        rating: int | None = None
+
+        def __post_init__(self) -> None:
+            if self.rating is not None and not 1 <= self.rating <= 5:
+                raise ValueError(f"rating must be in 1..5: {self.rating}")
+
+    @dataclass(frozen=True, slots=True)
+    class FrozenPathMetrics:
+        rtt_ms: float
+        loss_rate: float
+        jitter_ms: float
+
+        def __post_init__(self) -> None:
+            if self.rtt_ms < 0.0:
+                raise ValueError(f"rtt_ms must be non-negative: {self.rtt_ms}")
+            if not 0.0 <= self.loss_rate <= 1.0:
+                raise ValueError(f"loss_rate must be in [0, 1]: {self.loss_rate}")
+            if self.jitter_ms < 0.0:
+                raise ValueError(f"jitter_ms must be non-negative: {self.jitter_ms}")
+
+    n = 1000
+    call_rows = [
+        (i, 0.5 * i, 100 + i % 50, 200 + i % 70, "US", "GB", i, i + 1, 120.0,
+         i % 4, i % 3, i % 2 == 1, False, i % 5 == 0)
+        for i in range(n)
+    ]
+    metrics_rows = [(100.0 + i % 90, 0.001 * (i % 20), 2.0 + i % 7) for i in range(n)]
+    option = RelayOption.bounce(1)
+    outcome_rows = [
+        (Call(*c), option, PathMetrics(*m), 1 + i % 5 if i % 3 else None)
+        for i, (c, m) in enumerate(zip(call_rows, metrics_rows))
+    ]
+    ok = True
+    for cls, frozen, rows in (
+        (Call, FrozenCall, call_rows),
+        (CallOutcome, FrozenCallOutcome, outcome_rows),
+        (PathMetrics, FrozenPathMetrics, metrics_rows),
+    ):
+        declared = {f.name: f.default for f in fields(frozen)}
+        signature = {
+            name: MISSING if p.default is p.empty else p.default
+            for name, p in inspect.signature(cls).parameters.items()
+        }
+        if list(signature.items()) != list(declared.items()) or any(
+            [getattr(cls(*row), name) for name in declared]
+            != [getattr(frozen(*row), name) for name in declared]
+            for row in rows[:50]
+        ):
+            print(f"ci-check: FAILED at record-ratio ({cls.__name__} and its twin "
+                  "differ in fields, defaults or values)")
+            return False
+        fast, slow = (
+            t / n
+            for t in _best_us(
+                lambda: [cls(*row) for row in rows],
+                lambda: [frozen(*row) for row in rows],
+                number=20,
+            )
+        )
+        limit = RECORD_RATIO_LIMITS[cls.__name__]
+        print(f"  {cls.__name__} {fast:.2f} us vs frozen-dataclass twin {slow:.2f} us "
+              f"({fast / slow:.2f}x, limit {limit}x)")
+        if fast >= limit * slow:
+            print(f"ci-check: FAILED at record-ratio (building a {cls.__name__} costs "
+                  f"{limit}x its frozen-dataclass twin or more: is it a dataclass again?)")
+            ok = False
+    return ok
 
 
 def _wal_ratio() -> bool:
@@ -860,11 +986,12 @@ def _snapshot_ratio() -> bool:
 
 def _perf_smoke(env: dict[str, str]) -> bool:
     """The repo benchmark's correctness checks (``make perf-smoke``), after
-    the codec, sampler, trace, WAL, vector and snapshot ratio checks."""
+    the codec, sampler, trace, record, WAL, vector and snapshot ratio checks."""
     if not (
         _codec_ratios()
         and _sampler_ratio()
         and _trace_ratio()
+        and _record_ratio()
         and _wal_ratio()
         and _vector_ratio()
         and _snapshot_ratio()

@@ -39,7 +39,7 @@ from repro.analysis.temporal import (
     daily_pair_pnr,
     persistence_and_prevalence,
 )
-from repro.analysis.reporting import format_series, format_table
+from repro.reporting import format_series, format_table
 from repro.analysis.summary import experiment_report
 
 __all__ = [

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.analysis.pnr import pnr_breakdown, pnr_with_sem, relative_improvement
-from repro.analysis.reporting import format_table
+from repro.reporting import format_table
 from repro.analysis.spatial import split_international
 from repro.analysis.stats import percentile_improvement
 from repro.netmodel.metrics import METRICS

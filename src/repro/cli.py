@@ -31,18 +31,14 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.analysis import format_table, pnr_breakdown, relative_improvement
-from repro.core.costs import COST_MODEL_NAMES
-from repro.netmodel import TopologyConfig, WorldConfig, build_world
-from repro.netmodel.metrics import PathMetrics
-from repro.simulation import ExperimentPlan, standard_policies
-from repro.telephony.quality import mos_from_network, poor_call_probability
-from repro.workload import WorkloadConfig, generate_trace
+from repro.reporting import format_table
 
 __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core.costs import COST_MODEL_NAMES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="VIA (SIGCOMM 2016) reproduction: predictive relay selection",
@@ -165,6 +161,8 @@ def _add_world_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_world(args: argparse.Namespace):
+    from repro.netmodel import TopologyConfig, WorldConfig, build_world
+
     return build_world(
         WorldConfig(
             topology=TopologyConfig(n_countries=args.countries, n_relays=args.relays),
@@ -175,6 +173,8 @@ def _build_world(args: argparse.Namespace):
 
 
 def _build_world_and_trace(args: argparse.Namespace):
+    from repro.workload import WorkloadConfig, generate_trace
+
     world = _build_world(args)
     trace = generate_trace(
         world.topology,
@@ -185,6 +185,9 @@ def _build_world_and_trace(args: argparse.Namespace):
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.analysis import experiment_report, pnr_breakdown, relative_improvement
+    from repro.simulation import ExperimentPlan, standard_policies
+
     if args.trace_in:
         from repro.workload import TraceDataset
 
@@ -201,8 +204,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     results = plan.run(policies, seed=args.seed)
     if args.full_report:
-        from repro.analysis import experiment_report
-
         evaluated = {name: plan.evaluate(r) for name, r in results.items()}
         print(experiment_report(evaluated, metric=args.metric, results=results))
         return 0
@@ -266,6 +267,9 @@ def _cmd_testbed(args: argparse.Namespace) -> int:
 
 
 def _cmd_quality(args: argparse.Namespace) -> int:
+    from repro.netmodel.metrics import PathMetrics
+    from repro.telephony.quality import mos_from_network, poor_call_probability
+
     try:
         metrics = PathMetrics(rtt_ms=args.rtt, loss_rate=args.loss, jitter_ms=args.jitter)
     except ValueError as exc:

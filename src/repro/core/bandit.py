@@ -52,6 +52,8 @@ class UCB1Explorer:
             raise ValueError(f"normalizer must be positive: {normalizer}")
         if mode not in ("via", "classic"):
             raise ValueError(f"mode must be 'via' or 'classic': {mode!r}")
+        if not 0.0 <= exploration_coef < math.inf:
+            raise ValueError(f"exploration_coef must be finite and >= 0: {exploration_coef!r}")
         self.arms = list(arms)
         self.mode = mode
         self.exploration_coef = exploration_coef

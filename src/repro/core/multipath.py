@@ -36,6 +36,7 @@ bandit-over-paths against Via's single-path top-k end to end
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Hashable, Protocol
@@ -263,6 +264,8 @@ class MultipathBanditPolicy:
             raise ValueError(f"max_pairs must be >= 1: {max_pairs}")
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1]: {epsilon}")
+        if not 0.0 <= exploration_coef < math.inf:
+            raise ValueError(f"exploration_coef must be finite and >= 0: {exploration_coef!r}")
         self.metric = metric
         self.mode = mode
         self.split_weight = split_weight

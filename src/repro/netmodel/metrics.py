@@ -19,8 +19,9 @@ ground-truth world and by the tomography module):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
+
+from repro._record import Record
 
 __all__ = [
     "Metric",
@@ -64,25 +65,30 @@ def compose_loss(loss_rates: Iterable[float]) -> float:
     return 1.0 - survival
 
 
-@dataclass(frozen=True, slots=True)
-class PathMetrics:
-    """An (RTT, loss, jitter) triple for one path or one call.
-
-    Units match the paper: milliseconds for RTT and jitter, a fraction in
-    ``[0, 1]`` for loss rate.
-    """
-
+class _PathMetricsFields(NamedTuple):
     rtt_ms: float
     loss_rate: float
     jitter_ms: float
 
-    def __post_init__(self) -> None:
-        if self.rtt_ms < 0.0:
-            raise ValueError(f"rtt_ms must be non-negative: {self.rtt_ms}")
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1]: {self.loss_rate}")
-        if self.jitter_ms < 0.0:
-            raise ValueError(f"jitter_ms must be non-negative: {self.jitter_ms}")
+
+class PathMetrics(Record, _PathMetricsFields):
+    """An (RTT, loss, jitter) triple for one path or one call.
+
+    Units match the paper: milliseconds for RTT and jitter, a fraction in
+    ``[0, 1]`` for loss rate.  A validated, immutable tuple
+    (:class:`~repro._record.Record`).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rtt_ms: float, loss_rate: float, jitter_ms: float) -> "PathMetrics":
+        if rtt_ms < 0.0:
+            raise ValueError(f"rtt_ms must be non-negative: {rtt_ms}")
+        if not 0.0 <= loss_rate <= 1.0:
+            raise ValueError(f"loss_rate must be in [0, 1]: {loss_rate}")
+        if jitter_ms < 0.0:
+            raise ValueError(f"jitter_ms must be non-negative: {jitter_ms}")
+        return tuple.__new__(cls, (rtt_ms, loss_rate, jitter_ms))
 
     def get(self, metric: Metric) -> float:
         """Return the value of one named metric (``rtt_ms`` etc.)."""

@@ -1,8 +1,10 @@
-"""Plain-text rendering of tables and series for the benchmark harness.
+"""Plain-text rendering of tables and series for the benches and the CLI.
 
 Every bench prints the rows/series of its paper table or figure through
 these helpers, so outputs are uniform and easy to diff against
-EXPERIMENTS.md.
+EXPERIMENTS.md.  The module imports nothing from the package, so a
+subcommand that only prints a table (``repro store verify``) does not load
+the analysis plane; :mod:`repro.analysis` re-exports both helpers.
 """
 
 from __future__ import annotations

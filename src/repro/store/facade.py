@@ -21,13 +21,14 @@ holds one snapshot and only the records since.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Protocol
 
 from repro.obs.metrics import MetricsRegistry
 from repro.store.io import atomic_write_json
-from repro.store.wal import FSYNC_POLICIES, WalReadResult, WriteAheadLog, _dumps, read_wal
+from repro.store.wal import WalReadResult, WriteAheadLog, _dumps, check_settings, read_wal
 
 __all__ = [
     "SNAPSHOT_FORMAT",
@@ -72,12 +73,16 @@ class StoreConfig:
     snapshot_every_records: int = 0
 
     def __post_init__(self) -> None:
-        if self.fsync not in FSYNC_POLICIES:
-            raise ValueError(
-                f"unknown fsync policy {self.fsync!r}; expected {FSYNC_POLICIES}"
-            )
-        if self.snapshot_every_records < 0:
-            raise ValueError("snapshot_every_records must be >= 0")
+        check_settings(
+            self.fsync,
+            self.batch_every,
+            self.max_segment_bytes,
+            self.max_segment_records,
+            self.max_segment_age_s,
+        )
+        every = self.snapshot_every_records
+        if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 0:
+            raise ValueError(f"snapshot_every_records must be an int >= 0: {every!r}")
 
 
 class Store:

@@ -32,6 +32,8 @@ damaged log; it salvages everything salvageable and reports the rest.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import struct
 import time
 import zlib
@@ -209,6 +211,35 @@ def read_wal(directory: str | Path, *, after_seq: int = 0) -> WalReadResult:
     return result
 
 
+def check_settings(
+    fsync: str,
+    batch_every: int,
+    max_segment_bytes: int,
+    max_segment_records: int | None,
+    max_segment_age_s: float | None,
+) -> None:
+    """Raise ``ValueError``, naming the setting, for a value
+    :class:`WriteAheadLog` cannot run with; :class:`~repro.store.StoreConfig`
+    runs the same check when it is built."""
+    if fsync not in FSYNC_POLICIES:
+        raise ValueError(f"unknown fsync policy {fsync!r}; expected {FSYNC_POLICIES}")
+    minimums = [
+        ("batch_every", batch_every, 1),
+        ("max_segment_bytes", max_segment_bytes, len(SEGMENT_MAGIC) + _HEADER.size),
+    ]
+    if max_segment_records is not None:
+        minimums.append(("max_segment_records", max_segment_records, 1))
+    for name, value, least in minimums:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError(f"{name} must be an int >= {least}: {value!r}")
+    if max_segment_age_s is not None and (
+        isinstance(max_segment_age_s, bool)
+        or not isinstance(max_segment_age_s, numbers.Real)
+        or not 0.0 < max_segment_age_s < math.inf
+    ):
+        raise ValueError(f"max_segment_age_s must be finite and > 0: {max_segment_age_s!r}")
+
+
 class WriteAheadLog:
     """Segmented append-only log with a global sequence number.
 
@@ -241,12 +272,9 @@ class WriteAheadLog:
         registry: MetricsRegistry | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if fsync not in FSYNC_POLICIES:
-            raise ValueError(f"unknown fsync policy {fsync!r}; expected {FSYNC_POLICIES}")
-        if batch_every < 1:
-            raise ValueError("batch_every must be >= 1")
-        if max_segment_bytes < len(SEGMENT_MAGIC) + _HEADER.size:
-            raise ValueError("max_segment_bytes too small for a single frame")
+        check_settings(
+            fsync, batch_every, max_segment_bytes, max_segment_records, max_segment_age_s
+        )
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
@@ -389,7 +417,7 @@ class WriteAheadLog:
             self._active_bytes = len(SEGMENT_MAGIC)
             self._active_opened_at = self._clock()
             self._pending_sync = 0
-            fsync_dir(self.directory)
+            self._sync_directory()
             self._update_segment_gauge()
         return self._fh
 
@@ -432,6 +460,12 @@ class WriteAheadLog:
             self._obs_fsyncs.inc()
             self._pending_sync = 0
 
+    def _sync_directory(self) -> None:
+        """Persist the directory's entries (a segment made or deleted),
+        except under ``off``, which leaves them to the OS like the data."""
+        if self.fsync != "off":
+            fsync_dir(self.directory)
+
     def rotate(self) -> SegmentInfo | None:
         """Seal the active segment (if it holds records) and start fresh.
 
@@ -448,7 +482,7 @@ class WriteAheadLog:
         assert self._active_path is not None
         if self._active_records == 0:
             self._active_path.unlink()
-            fsync_dir(self.directory)
+            self._sync_directory()
             self._active_path = None
             self._update_segment_gauge()
             return None
@@ -491,7 +525,7 @@ class WriteAheadLog:
         doomed_paths = {info.path for info in doomed}
         self._sealed = [s for s in self._sealed if s.path not in doomed_paths]
         if doomed:
-            fsync_dir(self.directory)
+            self._sync_directory()
         self._update_segment_gauge()
         return reclaimed
 

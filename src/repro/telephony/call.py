@@ -8,24 +8,16 @@ optional user rating).  Policies see only outcomes, never ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, NamedTuple
 
+from repro._record import Record
 from repro.netmodel.metrics import PathMetrics
 from repro.netmodel.options import RelayOption
 
 __all__ = ["Call", "CallOutcome"]
 
 
-@dataclass(frozen=True, slots=True)
-class Call:
-    """One call intent from the workload generator.
-
-    ``t_hours`` is absolute simulation time in hours from the start of the
-    trace.  ``src_prefix`` / ``dst_prefix`` index sub-AS prefixes (used by
-    the spatial-granularity study); wireless flags mark last-hop type.
-    """
-
+class _CallFields(NamedTuple):
     call_id: int
     t_hours: float
     src_asn: int
@@ -43,11 +35,45 @@ class Call:
     #: relay -- the reason today's relays exist at all (§2.1 of the paper).
     direct_blocked: bool = False
 
-    def __post_init__(self) -> None:
-        if self.t_hours < 0.0:
-            raise ValueError(f"t_hours must be >= 0: {self.t_hours}")
-        if self.duration_s <= 0.0:
-            raise ValueError(f"duration_s must be > 0: {self.duration_s}")
+
+class Call(Record, _CallFields):
+    """One call intent from the workload generator.
+
+    ``t_hours`` is absolute simulation time in hours from the start of the
+    trace.  ``src_prefix`` / ``dst_prefix`` index sub-AS prefixes (used by
+    the spatial-granularity study); wireless flags mark last-hop type.  A
+    validated, immutable tuple (:class:`~repro._record.Record`); the
+    defaults of ``__new__`` are those of the fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        call_id: int,
+        t_hours: float,
+        src_asn: int,
+        dst_asn: int,
+        src_country: str,
+        dst_country: str,
+        src_user: int,
+        dst_user: int,
+        duration_s: float = 180.0,
+        src_prefix: int = 0,
+        dst_prefix: int = 0,
+        src_wireless: bool = False,
+        dst_wireless: bool = False,
+        direct_blocked: bool = False,
+    ) -> "Call":
+        if t_hours < 0.0:
+            raise ValueError(f"t_hours must be >= 0: {t_hours}")
+        if duration_s <= 0.0:
+            raise ValueError(f"duration_s must be > 0: {duration_s}")
+        return tuple.__new__(cls, (
+            call_id, t_hours, src_asn, dst_asn, src_country, dst_country,
+            src_user, dst_user, duration_s, src_prefix, dst_prefix,
+            src_wireless, dst_wireless, direct_blocked,
+        ))
 
     @property
     def day(self) -> int:
@@ -73,40 +99,31 @@ class Call:
         return self.src_wireless or self.dst_wireless
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "call_id": self.call_id,
-            "t_hours": self.t_hours,
-            "src_asn": self.src_asn,
-            "dst_asn": self.dst_asn,
-            "src_country": self.src_country,
-            "dst_country": self.dst_country,
-            "src_user": self.src_user,
-            "dst_user": self.dst_user,
-            "duration_s": self.duration_s,
-            "src_prefix": self.src_prefix,
-            "dst_prefix": self.dst_prefix,
-            "src_wireless": self.src_wireless,
-            "dst_wireless": self.dst_wireless,
-            "direct_blocked": self.direct_blocked,
-        }
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Call":
         return cls(**data)
 
 
-@dataclass(frozen=True, slots=True)
-class CallOutcome:
-    """A completed call: intent + relaying decision + realised metrics."""
-
+class _CallOutcomeFields(NamedTuple):
     call: Call
     option: RelayOption
     metrics: PathMetrics
     rating: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.rating is not None and not 1 <= self.rating <= 5:
-            raise ValueError(f"rating must be in 1..5: {self.rating}")
+
+class CallOutcome(Record, _CallOutcomeFields):
+    """A completed call: intent + relaying decision + realised metrics."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, call: Call, option: RelayOption, metrics: PathMetrics, rating: int | None = None
+    ) -> "CallOutcome":
+        if rating is not None and not 1 <= rating <= 5:
+            raise ValueError(f"rating must be in 1..5: {rating}")
+        return tuple.__new__(cls, (call, option, metrics, rating))
 
     @property
     def poor_rating(self) -> bool:
@@ -114,4 +131,4 @@ class CallOutcome:
         return self.rating is not None and self.rating <= 2
 
     def with_rating(self, rating: int) -> "CallOutcome":
-        return replace(self, rating=rating)
+        return self._replace(rating=rating)

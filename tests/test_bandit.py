@@ -39,6 +39,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             UCB1Explorer(arms(2), normalizer=1.0, mode="other")
 
+    @pytest.mark.parametrize("coef", [-1.0, float("nan"), float("inf")])
+    def test_rejects_bad_exploration_coef(self, coef):
+        """A negative coefficient would reach ``math.sqrt`` of a negative
+        at the first UCB comparison; reject it when the bandit is built."""
+        with pytest.raises(ValueError, match="exploration_coef"):
+            UCB1Explorer(arms(2), normalizer=1.0, exploration_coef=coef)
+
     def test_from_predictions_normalizer_is_mean_upper(self):
         a = arms(3)
         preds = {

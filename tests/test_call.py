@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.netmodel.metrics import PathMetrics
@@ -88,3 +90,61 @@ class TestCallOutcome:
         assert rated.option == RelayOption.bounce(2)
         assert rated.metrics == self.METRICS
         assert rated.rating == 4
+
+
+class TestRecordSemantics:
+    """The three per-call records are validated tuples that keep the
+    frozen dataclass's contract: field names, order and defaults, equality
+    within the class only, the hash of the field tuple, no ordering, and a
+    validating ``_replace``."""
+
+    OUTCOME = CallOutcome(
+        call=make_call(), option=RelayOption.bounce(2), metrics=TestCallOutcome.METRICS
+    )
+
+    @pytest.mark.parametrize("record", [make_call(), OUTCOME, TestCallOutcome.METRICS])
+    def test_equal_only_within_the_class(self, record):
+        twin = type(record)(*record)
+        assert record == twin and not record != twin
+        assert record != tuple(record) and not record == tuple(record)
+        assert tuple(record) != record and not tuple(record) == record
+        assert record != list(record)
+
+    @pytest.mark.parametrize("record", [make_call(), OUTCOME, TestCallOutcome.METRICS])
+    def test_hash_is_the_field_tuple_hash(self, record):
+        assert hash(record) == hash(tuple(getattr(record, f) for f in record._fields))
+        assert len({record, type(record)(*record)}) == 1
+
+    @pytest.mark.parametrize("record", [make_call(), OUTCOME, TestCallOutcome.METRICS])
+    def test_unorderable(self, record):
+        for compare in (
+            lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b, lambda a, b: a >= b
+        ):
+            with pytest.raises(TypeError):
+                compare(record, record)
+            with pytest.raises(TypeError):
+                compare(tuple(record), record)
+
+    @pytest.mark.parametrize("cls", [Call, CallOutcome, PathMetrics])
+    def test_new_matches_the_declared_fields(self, cls):
+        params = list(inspect.signature(cls).parameters.values())
+        assert tuple(p.name for p in params) == cls._fields
+        defaults = {p.name: p.default for p in params if p.default is not p.empty}
+        assert defaults == cls._field_defaults
+
+    def test_replace_and_make_validate(self):
+        with pytest.raises(ValueError):
+            make_call()._replace(t_hours=-1.0)
+        with pytest.raises(ValueError):
+            self.OUTCOME._replace(rating=9)
+        with pytest.raises(ValueError):
+            PathMetrics._make((1.0, 2.0, 0.0))
+
+    def test_no_instance_dict(self):
+        for record in (make_call(), self.OUTCOME, TestCallOutcome.METRICS):
+            assert not hasattr(record, "__dict__")
+
+    def test_repr_names_every_field(self):
+        assert repr(TestCallOutcome.METRICS) == (
+            "PathMetrics(rtt_ms=100.0, loss_rate=0.01, jitter_ms=5.0)"
+        )

@@ -146,6 +146,13 @@ class TestBanditPolicy:
         with pytest.raises(ValueError, match="epsilon"):
             MultipathBanditPolicy(epsilon=1.5)
 
+    @pytest.mark.parametrize("coef", [-1.0, float("nan"), float("inf")])
+    def test_rejects_bad_exploration_coef(self, coef):
+        """Built, ``exploration_coef=-1.0`` used to fail mid-replay with a
+        math domain error at the first UCB comparison."""
+        with pytest.raises(ValueError, match="exploration_coef"):
+            MultipathBanditPolicy(exploration_coef=coef)
+
     def test_needs_two_distinct_options(self):
         policy = MultipathBanditPolicy(epsilon=0.0)
         with pytest.raises(ValueError, match=">= 2 distinct options"):

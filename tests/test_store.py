@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 
@@ -260,6 +261,26 @@ class TestWriteAheadLog:
         assert registry.get("via_store_fsyncs_total").value == 0
         # Unbuffered writes mean the records are still readable.
         assert len(read_wal(tmp_path).records) == 10
+
+    @pytest.mark.parametrize("fsync", ["off", "batch"])
+    def test_fsync_off_makes_no_os_fsync_call(self, fsync, tmp_path, monkeypatch):
+        """``off`` skips the directory fsyncs too: segments opened by
+        rotation and sealed segments dropped.  ``batch`` on the same
+        sequence shows the counter sees them."""
+        calls = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(fd), real_fsync(fd)))
+        wal = WriteAheadLog(tmp_path, fsync=fsync, max_segment_records=100)
+        for i in range(1_950):
+            wal.append({"kind": "hello", "i": i})
+        assert len(wal.sealed_segments()) == 19
+        wal.drop_segments(wal.sealed_segments()[:5])
+        wal.close()
+        assert len(read_wal(tmp_path).records) == 1_450
+        if fsync == "off":
+            assert calls == []
+        else:
+            assert len(calls) > 20
 
     def test_rejects_unknown_fsync_policy(self, tmp_path):
         with pytest.raises(ValueError):
