@@ -34,7 +34,10 @@ Runs, in order, failing fast:
    recover with fingerprint equivalence — under seed-derived chaos, with
    the resource-trend watchdogs armed.  The hours-long run is
    ``repro soak --budget full``; this leg proves the harness itself and
-   catches gross leaks in under a minute;
+   catches gross leaks in under a minute, then the gc leg
+   (:func:`_gc_leg`): no full collection starts inside a ``replay()``
+   call over a 24,000-call replay in a fresh interpreter.  It counts
+   collections, which follow allocation counts, not time;
 7. the repo benchmark at smoke scale (``make perf-smoke``), after seven
    same-process ratio checks (the wire codec's shape; ``World.sample_call``
    under half its reference composition, streams equal; ``generate_trace``
@@ -100,6 +103,7 @@ IMPORT_BANS = {
     # check reads WAL frames and a snapshot, never the replay planes.
     "from repro.cli import main; main(['store', 'verify', 'tests/fixtures/store-seed7'])": (
         "scipy", "repro.simulation", "repro.analysis", "repro.workload", "repro.netmodel.world",
+        "repro.core.costs",
     ),
 }
 
@@ -984,6 +988,74 @@ def _snapshot_ratio() -> bool:
     return True
 
 
+#: ``_gc_leg``'s replay: calls of the benchmark's world, and the calls one
+#: ``replay()`` gets (``replay_vector``'s slice).
+GC_LEG_CALLS = 24_000
+GC_LEG_CHUNK = 2_000
+
+#: ``_gc_leg``'s probe, run in a fresh interpreter: the world, trace and
+#: policy are built, then the trace is replayed in chunks with the outcomes
+#: kept, as the benchmark keeps them; a ``gc.callbacks`` hook counts the
+#: collections that start inside a ``replay()`` call, by generation.
+_GC_PROBE = """
+import gc, json, sys
+from repro.core import build_policy
+from repro.netmodel import TopologyConfig, WorldConfig, build_world
+from repro.simulation import replay
+from repro.workload import TraceDataset, WorkloadConfig, generate_trace
+
+n_calls, chunk = int(sys.argv[1]), int(sys.argv[2])
+world = build_world(WorldConfig(topology=TopologyConfig(n_countries=20, n_relays=10), n_days=10))
+trace = generate_trace(world.topology, WorkloadConfig(n_calls=n_calls, n_pairs=600), n_days=10)
+policy = build_policy("via", world, seed=0)
+inside = False
+counts = [0, 0, 0]
+
+def count(phase, info):
+    if inside and phase == "start":
+        counts[info["generation"]] += 1
+
+gc.callbacks.append(count)
+outcomes = []
+for k, i in enumerate(range(0, n_calls, chunk)):
+    piece = TraceDataset(calls=trace.calls[i:i + chunk], n_days=trace.n_days)
+    inside = True
+    result = replay(world, piece, policy, seed=k, batch_calls=chunk)
+    inside = False
+    outcomes.extend(result.outcomes)
+print(json.dumps({"collections": counts, "outcomes": len(outcomes)}))
+"""
+
+
+def _gc_leg(env: dict[str, str]) -> bool:
+    """No full collection inside a replay: :data:`GC_LEG_CALLS` calls of
+    the benchmark's world through ``replay()`` in :data:`GC_LEG_CHUNK`-call
+    chunks, in a fresh interpreter, must start no generation-2 collection
+    inside a ``replay()`` call.  The collector runs on allocation counts,
+    not time, so the count repeats run to run.  Without the replay's
+    frozen heap (``repro._heap.long_lived``) it reads 2."""
+    print("== gc: no full collection inside a replay", flush=True)
+    result = subprocess.run(
+        [sys.executable, "-c", _GC_PROBE, str(GC_LEG_CALLS), str(GC_LEG_CHUNK)],
+        cwd=REPO_ROOT, env=env, capture_output=True, text=True,
+    )
+    if result.returncode != 0:
+        print(result.stderr)
+        print(f"ci-check: FAILED at gc (the probe exited {result.returncode})")
+        return False
+    report = json.loads(result.stdout.splitlines()[-1])
+    gen0, gen1, gen2 = report["collections"]
+    print(
+        f"  {report['outcomes']} calls in {GC_LEG_CHUNK}-call replays: "
+        f"{gen0} / {gen1} / {gen2} collections of generation 0 / 1 / 2 (generation 2 must read 0)"
+    )
+    if report["outcomes"] != GC_LEG_CALLS or gen2:
+        print("ci-check: FAILED at gc (a full collection ran inside a replay: is the "
+              "heap alive on entry still frozen for the replay loop?)")
+        return False
+    return True
+
+
 def _perf_smoke(env: dict[str, str]) -> bool:
     """The repo benchmark's correctness checks (``make perf-smoke``), after
     the codec, sampler, trace, record, WAL, vector and snapshot ratio checks."""
@@ -1099,13 +1171,15 @@ def main() -> int:
         return 1
     if not _soak_smoke():
         return 1
+    if not _gc_leg(env):
+        return 1
     if not _perf_smoke(env):
         return 1
     if not _contract_leg(env):
         return 1
     print(
         "ci-check: OK (imports, docs, tier-1, verify + coverage floor, shard smoke, "
-        "registry lint, soak smoke, ratio legs + perf smoke, output contract)"
+        "registry lint, soak smoke, gc, ratio legs + perf smoke, output contract)"
     )
     return 0
 

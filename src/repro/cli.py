@@ -37,8 +37,6 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.core.costs import COST_MODEL_NAMES
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="VIA (SIGCOMM 2016) reproduction: predictive relay selection",
@@ -51,8 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="replay a saved trace (.jsonl from `repro trace`) "
                           "instead of generating one; world args still "
                           "control the network model")
-    sim.add_argument("--metric", default="rtt_ms", choices=COST_MODEL_NAMES,
-                     help="objective the policies optimise")
+    sim.add_argument("--metric", default="rtt_ms", type=_metric_name,
+                     help="objective the policies optimise: a path metric "
+                          "(rtt_ms, loss_rate, jitter_ms) or mos")
     sim.add_argument("--no-strawmen", action="store_true",
                      help="only default / VIA / oracle")
     sim.add_argument("--warmup-days", type=int, default=2)
@@ -95,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
         "action",
         choices=("inspect", "verify", "compact"),
         help="inspect: summarise segments and snapshot; "
-             "verify: scan for corruption (exit 1 if any); "
+             "verify: scan for corruption (exit 1 if any; a torn "
+             "tail is not corruption); "
              "compact: delete the segments the snapshot covers",
     )
     store.add_argument("dir", help="store root directory (the controller's store_dir)")
@@ -149,6 +149,19 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also write the full report JSON here, pass or fail")
 
     return parser
+
+
+def _metric_name(value: str) -> str:
+    """``simulate --metric``'s check, run only when ``simulate`` is parsed:
+    the cost models (and numpy under them) load for no other command."""
+    from repro.core.costs import COST_MODEL_NAMES
+
+    if value not in COST_MODEL_NAMES:
+        choices = ", ".join(map(repr, COST_MODEL_NAMES))
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {value!r} (choose from {choices})"
+        )
+    return value
 
 
 def _add_world_args(parser: argparse.ArgumentParser) -> None:
@@ -403,7 +416,9 @@ def _cmd_store(args: argparse.Namespace) -> int:
         ))
         return 0
 
-    # verify: exit 1 on any damage anywhere in the store.
+    # verify: exit 1 on damage anywhere in the store.  A torn final frame
+    # is not damage: it is what a kill mid-append leaves, and recovery
+    # drops it without losing an acknowledged record.
     result = read_wal(wal_dir) if wal_dir.is_dir() else None
     n_corrupt = result.n_corrupt if result else 0
     n_torn = result.n_torn_segments if result else 0
@@ -415,12 +430,17 @@ def _cmd_store(args: argparse.Namespace) -> int:
     gaps = len(missing)
     damaged = (
         n_corrupt > 0
-        or n_torn > 0
         or snapshot_state == "corrupt"
         # A seq gap below the snapshot horizon is fine (compacted away);
         # one above it means records recovery needs are gone.
         or any(s > snapshot_seq for s in missing)
     )
+    if damaged:
+        verdict = "DAMAGED"
+    elif n_torn:
+        verdict = "clean (torn tail dropped)"
+    else:
+        verdict = "clean"
     print(format_table(
         ["check", "result"],
         [
@@ -430,7 +450,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
             ["seq gaps", gaps],
             ["snapshot", snapshot_state],
         ],
-        title=f"Verification of {root}: {'DAMAGED' if damaged else 'clean'}",
+        title=f"Verification of {root}: {verdict}",
     ))
     return 1 if damaged else 0
 

@@ -53,6 +53,7 @@ from __future__ import annotations
 import asyncio
 import logging
 from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
@@ -145,6 +146,10 @@ class ViaServer:
         self._deferred: dict[asyncio.TimerHandle, _QueuedRequest | None] = {}
         self._conn_tasks: set[asyncio.Task] = set()
         self._conn_writers: set[asyncio.StreamWriter] = set()
+        #: What the controller holds while this serves (its frozen heap,
+        #: its pause hook), released by :meth:`stop`: a crash that stops
+        #: only the frontend releases it too.
+        self.serving = ExitStack()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -179,6 +184,7 @@ class ViaServer:
         see it: their next request must reconnect or fall back)."""
         if self._server is None:
             return
+        self.serving.close()
         self._server.close()
         for writer in list(self._conn_writers):
             writer.close()

@@ -38,6 +38,7 @@ import logging
 from pathlib import Path
 from typing import Any
 
+from repro._heap import long_lived
 from repro.core.policy import ViaConfig, ViaPolicy
 from repro.deployment.admission import AdmissionConfig, AdmissionController
 from repro.deployment.aserver import ViaServer
@@ -58,6 +59,7 @@ from repro.deployment.protocol import (
 )
 from repro.netmodel.options import RelayOption
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.pauses import GcPauses
 from repro.obs.profiling import timed
 from repro.store import Store, recover
 from repro.telephony.call import Call
@@ -98,6 +100,12 @@ class ViaController:
     fill in only when :mod:`repro.obs.runtime` is enabled.  Scrape the
     whole registry with :meth:`metrics_text` or, over the wire, with a
     :class:`~repro.deployment.protocol.MetricsRequestMessage`.
+
+    While its frontend serves, the controller holds the heap frozen
+    (:func:`repro._heap.long_lived`), so collections scan only what
+    serving allocates, and :attr:`gc_pauses` counts every collection by
+    generation (``via_gc_*`` in the scrape, or
+    ``gc_pauses.by_generation()``).
     """
 
     #: Message types pre-bound in the registry so a scrape shows every
@@ -190,6 +198,8 @@ class ViaController:
         )
         for outcome in ("ok", "corrupt", "missing"):
             self._obs_snapshot_restores.labels(outcome=outcome)
+        #: Garbage-collection pauses by generation, counted while serving.
+        self.gc_pauses = GcPauses(self.registry)
 
     # ------------------------------------------------------------------
     # Registry-backed counter views (the StatsMessage observables)
@@ -248,6 +258,12 @@ class ViaController:
         )
         await frontend.start()
         self._frontend = frontend
+        # What start-up built -- the policy, the recovered state, the
+        # modules -- leaves the collector's scans while this serves.  The
+        # frontend releases both when it stops, however it is stopped.
+        frontend.serving.enter_context(long_lived())
+        self.gc_pauses.attach()
+        frontend.serving.callback(self.gc_pauses.detach)
 
     async def stop(self) -> None:
         """Stop serving and sever live connections (a crash, as clients

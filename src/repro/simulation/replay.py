@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro._heap import long_lived
 from repro.core.hybrid import blend_call_metrics
 from repro.core.multipath import combined_metrics
 from repro.core.policy import SelectionPolicy
@@ -158,6 +159,9 @@ def replay(
     The outcome RNG is derived from ``seed`` only, so two policies replayed
     with the same seed face identical noise *processes* (though different
     assignment sequences consume draws differently).
+
+    The loop runs inside :func:`repro._heap.long_lived`: what is alive on
+    entry leaves the collector's scans until the replay returns.
     """
     if batch_calls < 1:
         raise ValueError(f"batch_calls must be >= 1: {batch_calls}")
@@ -213,56 +217,57 @@ def replay(
     calls = list(trace)
     n = len(calls)
     i = 0
-    while i < n:
-        call = calls[i]
-        j = min(i + batch_calls, n)
-        if outages:
-            # Trim the chunk at the first outage transition so one
-            # ``set_down_relays`` call covers every call in it.
-            down = world.relays_down_at(call.t_hours)
-            k = i + 1
-            while k < j and world.relays_down_at(calls[k].t_hours) == down:
-                k += 1
-            j = k
-            if set_down is not None and down != last_down:
-                set_down(down)
-                last_down = down
-            result.outage_flags.extend([bool(down)] * (j - i))
-        if obs_runtime.enabled:
-            day = int(call.t_hours // 24.0)
-            if day != last_day:
-                _G_DAY.set(day)
-                last_day = day
-            _G_CALLS.set(i)
-            _G_FRACTION.set(i / n)
-            obs_calls.inc(j - i)
-        if j - i > 1:
-            chunk = calls[i:j]
-            choices = policy.assign_many(chunk, [_menu(world, c) for c in chunk])
-            rows = []
-            for member, option in zip(chunk, choices):
-                # Sample, then rate, call by call: rating the chunk after
-                # sampling it would reorder the outcome RNG's draws.
-                metrics = _sample(world, member, option, rng)
-                rows.append(metrics)
-                book(member, (option,), metrics)
-            policy.observe_many(chunk, choices, rows)
-        else:
-            # A chunk of one takes the scalar entry points, not
-            # ``assign_many`` of one, which costs several times as much.
-            options = _menu(world, call)
-            plan = plan_probe(call, options) if plan_probe is not None else None
-            if assign_paths is not None:
-                paths, metrics = _multipath_call(world, policy, call, options, rng)
-            elif plan is not None:
-                paths, metrics = _probed_call(world, policy, call, plan, rng)
+    with long_lived():
+        while i < n:
+            call = calls[i]
+            j = min(i + batch_calls, n)
+            if outages:
+                # Trim the chunk at the first outage transition so one
+                # ``set_down_relays`` call covers every call in it.
+                down = world.relays_down_at(call.t_hours)
+                k = i + 1
+                while k < j and world.relays_down_at(calls[k].t_hours) == down:
+                    k += 1
+                j = k
+                if set_down is not None and down != last_down:
+                    set_down(down)
+                    last_down = down
+                result.outage_flags.extend([bool(down)] * (j - i))
+            if obs_runtime.enabled:
+                day = int(call.t_hours // 24.0)
+                if day != last_day:
+                    _G_DAY.set(day)
+                    last_day = day
+                _G_CALLS.set(i)
+                _G_FRACTION.set(i / n)
+                obs_calls.inc(j - i)
+            if j - i > 1:
+                chunk = calls[i:j]
+                choices = policy.assign_many(chunk, [_menu(world, c) for c in chunk])
+                rows = []
+                for member, option in zip(chunk, choices):
+                    # Sample, then rate, call by call: rating the chunk after
+                    # sampling it would reorder the outcome RNG's draws.
+                    metrics = _sample(world, member, option, rng)
+                    rows.append(metrics)
+                    book(member, (option,), metrics)
+                policy.observe_many(chunk, choices, rows)
             else:
-                option = policy.assign(call, options)
-                metrics = _sample(world, call, option, rng)
-                policy.observe(call, option, metrics)
-                paths = (option,)
-            book(call, paths, metrics)
-        i = j
+                # A chunk of one takes the scalar entry points, not
+                # ``assign_many`` of one, which costs several times as much.
+                options = _menu(world, call)
+                plan = plan_probe(call, options) if plan_probe is not None else None
+                if assign_paths is not None:
+                    paths, metrics = _multipath_call(world, policy, call, options, rng)
+                elif plan is not None:
+                    paths, metrics = _probed_call(world, policy, call, plan, rng)
+                else:
+                    option = policy.assign(call, options)
+                    metrics = _sample(world, call, option, rng)
+                    policy.observe(call, option, metrics)
+                    paths = (option,)
+                book(call, paths, metrics)
+            i = j
     if obs_runtime.enabled:
         _G_CALLS.set(n)
         _G_FRACTION.set(1.0)

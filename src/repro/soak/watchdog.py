@@ -99,9 +99,13 @@ def sample_rss_kb() -> float:
 
 
 def sample_gc_objects() -> float:
-    """Live tracked objects, with floating garbage collected away first."""
+    """Live tracked objects, with floating garbage collected away first.
+
+    ``gc.get_objects()`` skips the permanent generation, so the frozen
+    objects are added back: a leak that a serving controller froze
+    (``gc.freeze()``) still shows on the line."""
     gc.collect()
-    return float(len(gc.get_objects()))
+    return float(len(gc.get_objects()) + gc.get_freeze_count())
 
 
 def sample_open_fds() -> float:

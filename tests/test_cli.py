@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -160,6 +163,16 @@ class TestStoreCommand:
         capsys.readouterr()
         assert main(["store", "verify", str(healthy_store)]) == 1
         assert "DAMAGED" in capsys.readouterr().out
+
+    def test_torn_tail_alone_verifies_clean(self, capsys):
+        # The committed store: 125 records, no corrupt frame, and the torn
+        # final frame a kill mid-append leaves, which recovery drops.
+        fixture = Path(__file__).parent / "fixtures" / "store-seed7"
+        assert main(["store", "verify", str(fixture)]) == 0
+        out = capsys.readouterr().out
+        assert "clean (torn tail dropped)" in out and "DAMAGED" not in out
+        assert re.search(r"torn segments\s*\|?\s*1", out)
+        assert re.search(r"corrupt frames\s*\|?\s*0", out)
 
     def test_corrupt_snapshot_fails_verify(self, healthy_store, capsys):
         (healthy_store / "snapshot.json").write_text("{not json", encoding="utf-8")

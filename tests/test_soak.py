@@ -23,7 +23,7 @@ from repro.soak import (
     derive_fault_plan,
     run_soak,
 )
-from repro.soak.watchdog import InvariantSpec
+from repro.soak.watchdog import InvariantSpec, sample_gc_objects
 
 pytestmark = pytest.mark.soak
 
@@ -127,6 +127,23 @@ def test_watchdog_ignores_unavailable_sampler():
         dog.record("open_fds", -1.0)  # sampler unavailable on this platform
     (verdict,) = [v for v in dog.evaluate() if v["invariant"] == "open_fds"]
     assert verdict["enough_data"] is False
+
+
+def test_gc_objects_counts_a_leak_the_heap_froze():
+    # A serving controller freezes the heap (gc.freeze), and
+    # gc.get_objects() skips frozen objects: a leak made before a restart
+    # must not vanish from the line.
+    import gc
+
+    before = sample_gc_objects()
+    hoard = [[i] for i in range(20_000)]
+    gc.freeze()
+    try:
+        frozen = sample_gc_objects()
+    finally:
+        gc.unfreeze()
+    assert frozen - before >= 20_000
+    del hoard
 
 
 # ----------------------------------------------------------------------
